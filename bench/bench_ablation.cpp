@@ -170,19 +170,17 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", refinement.to_string().c_str());
 
-  // Ablation (d): implication tiers (DESIGN.md §14).  The closure tier
-  // is result-identical to the fused baseline by contract; the learned
-  // tier spends failed-literal probes to refute survivors, so its kept
-  // set sits between the exact FS set and the local-implication
-  // approximation.  On circuits small enough for the exhaustive
+  // Ablation (d): implication tiers.  The learned tier spends
+  // failed-literal probes to refute survivors, so its kept set sits
+  // between the exact FS set and the local-implication approximation.  On circuits small enough for the exhaustive
   // reference, the containment exact ⊆ learned ⊆ local is checked as
   // sets, not counts — a sound probe can only drop paths the exact
   // sweep also drops.
   std::printf(
-      "\nAblation (d): static-implication tiers on the FS classifier\n"
+      "\nAblation (d): implication tiers on the FS classifier\n"
       "(kept = |LP^sup|; exact = exhaustive vector sweep)\n\n");
-  TextTable tiers({"circuit", "exact", "kept (off)", "kept (closure)",
-                   "kept (learned)", "dropped", "sound"});
+  TextTable tiers({"circuit", "exact", "kept (off)", "kept (learned)",
+                   "dropped", "sound"});
   bool tier_violation = false;
   {
     struct TierCase {
@@ -215,14 +213,10 @@ int main(int argc, char** argv) {
       tier_base.collect_paths_limit = std::uint64_t{1} << 20;
 
       ClassifyOptions off = tier_base;
-      ClassifyOptions with_closure = tier_base;
-      with_closure.implications = ImplicationTier::kClosure;
       ClassifyOptions learned = tier_base;
       learned.implications = ImplicationTier::kLearned;
 
       const ClassifyResult off_run = classify_paths(item.circuit, off);
-      const ClassifyResult closure_run =
-          classify_paths(item.circuit, with_closure);
       const ClassifyResult learned_run =
           classify_paths(item.circuit, learned);
       const LogicalPathSet exact = exact_kept_paths(
@@ -232,31 +226,24 @@ int main(int argc, char** argv) {
                                      off_run.kept_keys.end());
       const LogicalPathSet learned_set(learned_run.kept_keys.begin(),
                                        learned_run.kept_keys.end());
-      const bool closure_identical =
-          closure_run.kept_paths == off_run.kept_paths &&
-          closure_run.kept_keys == off_run.kept_keys;
       const bool exact_in_learned = std::includes(
           learned_set.begin(), learned_set.end(), exact.begin(), exact.end());
       const bool learned_in_local = std::includes(
           local_set.begin(), local_set.end(), learned_set.begin(),
           learned_set.end());
-      const bool sound =
-          closure_identical && exact_in_learned && learned_in_local;
+      const bool sound = exact_in_learned && learned_in_local;
       if (!sound) {
         std::fprintf(stderr,
                      "[ablation] ERROR: %s tier containment violated "
-                     "(closure==local %d, exact⊆learned %d, "
-                     "learned⊆local %d)\n",
-                     item.name.c_str(), closure_identical, exact_in_learned,
-                     learned_in_local);
+                     "(exact⊆learned %d, learned⊆local %d)\n",
+                     item.name.c_str(), exact_in_learned, learned_in_local);
         tier_violation = true;
       }
 
       tiers.add_row({item.name, std::to_string(exact.size()),
                      std::to_string(off_run.kept_paths),
-                     std::to_string(closure_run.kept_paths),
                      std::to_string(learned_run.kept_paths),
-                     std::to_string(learned_run.closure.learned_dropped),
+                     std::to_string(learned_run.learned->dropped),
                      sound ? "yes" : "NO"});
       if (report.enabled()) {
         JsonValue json_row = JsonValue::object();
@@ -266,15 +253,12 @@ int main(int argc, char** argv) {
                      JsonValue::number(
                          static_cast<std::uint64_t>(exact.size())));
         json_row.set("kept_off", JsonValue::number(off_run.kept_paths));
-        json_row.set("kept_closure",
-                     JsonValue::number(closure_run.kept_paths));
         json_row.set("kept_learned",
                      JsonValue::number(learned_run.kept_paths));
         json_row.set("learned_dropped",
-                     JsonValue::number(learned_run.closure.learned_dropped));
+                     JsonValue::number(learned_run.learned->dropped));
         json_row.set("learned_assignments",
-                     JsonValue::number(
-                         learned_run.closure.learned_assignments));
+                     JsonValue::number(learned_run.learned->assignments));
         json_row.set("sound", JsonValue::boolean(sound));
         report.add_row(std::move(json_row));
       }
@@ -283,8 +267,8 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", tiers.to_string().c_str());
   std::printf(
-      "\nclosure is result-identical to off by contract; learned drops\n"
-      "only paths the exhaustive sweep also excludes (soundness check).\n");
+      "\nlearned drops only paths the exhaustive sweep also excludes\n"
+      "(soundness check).\n");
   report.write();
   return tier_violation ? 1 : 0;
 }

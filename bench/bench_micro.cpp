@@ -27,9 +27,7 @@
 #include "gen/pla_like.h"
 #include "netlist/compiled.h"
 #include "paths/path.h"
-#include "sim/closure.h"
 #include "sim/implication.h"
-#include "sim/implication_bitpar.h"
 #include "sim/implication_reference.h"
 #include "synth/synth.h"
 #include "util/rng.h"
@@ -359,423 +357,6 @@ int main(int argc, char** argv) {
       report.add_row(std::move(json));
     }
     std::fprintf(stderr, "[micro] deep-mesh done\n");
-  }
-
-  // Lane-width sweep, pattern path (DESIGN.md §11/§15): W independent
-  // ternary seed vectors per lockstep batch, for every plane width the
-  // engine compiles (64/128/256/512 lanes), on both study circuits.
-  // Each program fully specifies the primary inputs (the classifier's
-  // seed-vector shape: every side-input table assert bottoms out in PI
-  // assignments); the scalar compiled engine runs one vector at a
-  // time, a W-lane engine runs W per batch with ONE assign_planes call
-  // per PI — the 0-lanes and 1-lanes ride the same union-FIFO drain,
-  // so each cone propagation is paid once for every lane it covers
-  // instead of once per vector.  Per-lane verdicts and stats are
-  // bit-identical to the scalar runs (the lane engine's contract) AT
-  // EVERY WIDTH, so `identical` doubles as the differential check and
-  // the scalar side's propagation total is a fair shared numerator.
-  // scripts/compare_bench.py --self gates the legacy full-width
-  // mcnc-like row's ratio and the 512-vs-64 widening gain
-  // (RD_MIN_SIMD_SPEEDUP) on both circuits.
-  if (options.selected("bitpar")) {
-    struct SweepTarget {
-      const char* name;
-      Circuit circuit;
-    };
-    std::vector<SweepTarget> targets;
-    targets.push_back({"mcnc-like", mcnc_like()});
-    {
-      CarryMeshProfile mesh;
-      mesh.width = options.quick ? 3 : 4;
-      mesh.depth = options.quick ? 10 : 14;
-      targets.push_back({"deep-mesh", make_carry_mesh(mesh)});
-    }
-    constexpr unsigned kSweepWidths[] = {64, 128, 256, 512};
-    constexpr std::size_t kVectors = 2048;
-    static_assert(kVectors % kMaxLanes == 0);
-
-    for (const SweepTarget& target : targets) {
-      const Circuit& circuit = target.circuit;
-      const CompiledCircuit compiled(circuit);
-      const std::vector<GateId>& pis = circuit.inputs();
-
-      // One fully-specified random vector per program, stored flat in
-      // scalar driver order; each width transposes its own per-(batch,
-      // PI) lane masks outside the timed region so neither timed body
-      // pays for data marshalling the other skips.
-      std::vector<std::uint8_t> vectors(kVectors * pis.size());
-      Rng rng(29);
-      for (std::uint8_t& bit : vectors) bit = rng.next_bool(0.5) ? 1 : 0;
-
-      std::vector<std::uint8_t> scalar_ok(kVectors);
-      std::vector<ImplicationStats> scalar_delta(kVectors);
-      ImplicationEngine scalar(compiled);
-      // `record` separates the engine work being timed from the
-      // differential bookkeeping: the timed bodies run record=false,
-      // and one untimed record=true pass per engine captures verdicts
-      // and per-vector stats deltas for the identity check.  (The lane
-      // side's horizontal lane_stats read-out is O(counter bits) per
-      // lane — harness cost, not engine cost, and the scalar side has
-      // no equivalent.)
-      const auto scalar_pass = [&](bool record) {
-        for (std::size_t v = 0; v < kVectors; ++v) {
-          scalar.reset();
-          const ImplicationStats before = scalar.stats();
-          bool ok = true;
-          for (std::size_t i = 0; i < pis.size(); ++i) {
-            const bool bit = vectors[v * pis.size() + i] != 0;
-            if (!scalar.assign(pis[i], to_value3(bit))) {
-              ok = false;
-              break;
-            }
-          }
-          if (record) {
-            scalar_ok[v] = ok;
-            scalar_delta[v] = scalar.stats().delta_since(before);
-          }
-        }
-      };
-      scalar_pass(true);
-      std::uint64_t total_props = 0;
-      for (std::size_t v = 0; v < kVectors; ++v)
-        total_props += scalar_delta[v].propagations;
-      const auto props = static_cast<double>(total_props);
-
-      for (const unsigned lanes : kSweepWidths) {
-        const std::size_t batches = kVectors / lanes;
-        const LaneSet full = lane_mask_below(lanes);
-        std::vector<LaneMask> zeros(batches * pis.size());
-        std::vector<LaneMask> ones(batches * pis.size());
-        for (std::size_t b = 0; b < batches; ++b) {
-          for (std::size_t i = 0; i < pis.size(); ++i) {
-            LaneMask m1;
-            for (unsigned l = 0; l < lanes; ++l)
-              if (vectors[(b * lanes + l) * pis.size() + i] != 0)
-                m1 |= lane_bit(l);
-            zeros[b * pis.size() + i] = full & ~m1;
-            ones[b * pis.size() + i] = m1;
-          }
-        }
-
-        std::vector<std::uint8_t> lane_ok(kVectors);
-        std::vector<ImplicationStats> lane_delta(kVectors);
-        LaneImplicationEngine lane_engine(compiled,
-                                          /*backward_implications=*/true,
-                                          /*base=*/nullptr, lanes);
-        const auto lane_pass = [&](bool record) {
-          for (std::size_t b = 0; b < batches; ++b) {
-            lane_engine.begin_batch(full);
-            LaneSet alive = full;
-            for (std::size_t i = 0; i < pis.size() && alive.any(); ++i) {
-              // Per lane this is exactly the scalar assign of that
-              // lane's bit; lanes that conflicted stop assigning, like
-              // the scalar driver's early break.
-              const LaneMask m0 = zeros[b * pis.size() + i] & alive;
-              const LaneMask m1 = ones[b * pis.size() + i] & alive;
-              alive &= ~((m0 | m1) &
-                         ~lane_engine.assign_planes(pis[i], m0, m1));
-            }
-            if (record) {
-              for (unsigned l = 0; l < lanes; ++l) {
-                lane_ok[b * lanes + l] = alive.test(l);
-                lane_delta[b * lanes + l] = lane_engine.lane_stats(l);
-              }
-            }
-          }
-        };
-
-        // Each width is timed interleaved against the same scalar
-        // body, so every row carries its own paired baseline and the
-        // cross-width gate (512's ratio over 64's) cancels the scalar
-        // column instead of trusting two distant measurements.
-        const auto [scalar_seconds, lane_seconds] =
-            median_wall_seconds_interleaved(
-                runs, /*min_window_seconds=*/0.05,
-                [&] { scalar_pass(false); }, [&] { lane_pass(false); });
-        lane_pass(true);
-        bool identical = true;
-        for (std::size_t v = 0; v < kVectors; ++v)
-          identical = identical && scalar_ok[v] == lane_ok[v] &&
-                      scalar_delta[v] == lane_delta[v];
-        if (!identical) {
-          std::fprintf(stderr,
-                       "[micro] ERROR: %u-lane engine verdicts or stats "
-                       "diverge from the scalar per-vector runs on %s\n",
-                       lanes, target.name);
-          mismatch = true;
-        }
-
-        const double ratio =
-            lane_seconds > 0 ? scalar_seconds / lane_seconds : 0;
-        char name_cell[48];
-        std::snprintf(name_cell, sizeof name_cell, "bitpar %s w=%u",
-                      target.name, lanes);
-        char ratio_cell[32];
-        std::snprintf(ratio_cell, sizeof ratio_cell, "%.2fx", ratio);
-        char props_cell[32];
-        std::snprintf(props_cell, sizeof props_cell, "%llu",
-                      static_cast<unsigned long long>(total_props));
-        table.add_row(
-            {name_cell, props_cell,
-             rate_cell(scalar_seconds > 0 ? props / scalar_seconds : 0),
-             rate_cell(lane_seconds > 0 ? props / lane_seconds : 0),
-             ratio_cell});
-        if (report.enabled()) {
-          // The full-width mcnc-like measurement doubles as the legacy
-          // headline "bitpar" row (kind and fields unchanged) so the
-          // long-standing --self floor and the --trend trajectory keep
-          // their anchor; every width additionally emits a lane-sweep
-          // row keyed by (circuit, lanes).
-          const bool legacy = lanes == kMaxLanes &&
-                              std::string_view(target.name) == "mcnc-like";
-          for (int copy = 0; copy < (legacy ? 2 : 1); ++copy) {
-            JsonValue json = JsonValue::object();
-            json.set("kind", JsonValue::string(
-                                 copy == 0 ? "lane-sweep" : "bitpar"));
-            json.set("circuit", JsonValue::string(target.name));
-            json.set("runs",
-                     JsonValue::number(static_cast<std::uint64_t>(runs)));
-            json.set("programs",
-                     JsonValue::number(static_cast<std::uint64_t>(kVectors)));
-            json.set("lanes",
-                     JsonValue::number(static_cast<std::uint64_t>(lanes)));
-            json.set("dispatch", JsonValue::string(bitpar_dispatch_name()));
-            json.set("propagations", JsonValue::number(total_props));
-            json.set("reference_seconds", JsonValue::number(scalar_seconds));
-            json.set("compiled_seconds", JsonValue::number(lane_seconds));
-            json.set("reference_props_per_sec",
-                     JsonValue::number(
-                         scalar_seconds > 0 ? props / scalar_seconds : 0));
-            json.set("compiled_props_per_sec",
-                     JsonValue::number(lane_seconds > 0 ? props / lane_seconds
-                                                        : 0));
-            json.set("throughput_ratio", JsonValue::number(ratio));
-            json.set("identical", JsonValue::boolean(identical));
-            report.add_row(std::move(json));
-          }
-        }
-      }
-      std::fprintf(stderr, "[micro] bitpar %s done\n", target.name);
-    }
-  }
-
-  // Lane-packed classify path (DESIGN.md §15): the full parallel
-  // classifier at 512 lanes vs the same classifier at 64, on both
-  // study circuits.  This is the end-to-end view of the sweep above —
-  // frontier packing groups independent subtree seeds into lanes, so
-  // the widening gain here is bounded by the frontier width and the
-  // packed share of the run, not by the engine's raw lane throughput.
-  // Both runs (and the untimed scalar reference run) must agree on
-  // every deterministic field — the (threads, lanes) identity contract.
-  if (options.selected("lane-packed")) {
-    struct PackTarget {
-      const char* name;
-      Circuit circuit;
-    };
-    std::vector<PackTarget> targets;
-    targets.push_back({"mcnc-like", mcnc_like()});
-    {
-      CarryMeshProfile mesh;
-      mesh.width = options.quick ? 3 : 4;
-      mesh.depth = options.quick ? 10 : 14;
-      targets.push_back({"deep-mesh", make_carry_mesh(mesh)});
-    }
-    for (const PackTarget& target : targets) {
-      const Circuit& circuit = target.circuit;
-      ClassifyOptions base;
-      base.criterion = Criterion::kFunctionalSensitizable;
-      base.work_limit = options.work_limit;
-      base.num_threads = 1;
-      ClassifyOptions narrow = base;
-      narrow.lanes = kLanesPerWord;
-      ClassifyOptions wide = base;
-      wide.lanes = kMaxLanes;
-
-      ClassifyResult narrow_result;
-      ClassifyResult wide_result;
-      const auto [narrow_seconds, wide_seconds] =
-          median_wall_seconds_interleaved(
-              runs, /*min_window_seconds=*/0.05,
-              [&] {
-                narrow_result = classify_paths_parallel(circuit, narrow);
-              },
-              [&] { wide_result = classify_paths_parallel(circuit, wide); });
-      const ClassifyResult reference =
-          classify_paths_reference(circuit, base);
-      const bool identical =
-          deterministic_fields_equal(reference, narrow_result) &&
-          deterministic_fields_equal(reference, wide_result);
-      if (!identical) {
-        std::fprintf(stderr,
-                     "[micro] ERROR: lane-packed classification diverges "
-                     "from the reference engine on %s\n",
-                     target.name);
-        mismatch = true;
-      }
-
-      const auto props =
-          static_cast<double>(reference.implication.propagations);
-      const double ratio =
-          wide_seconds > 0 ? narrow_seconds / wide_seconds : 0;
-      char name_cell[48];
-      std::snprintf(name_cell, sizeof name_cell, "packed %s 512/64",
-                    target.name);
-      char ratio_cell[32];
-      std::snprintf(ratio_cell, sizeof ratio_cell, "%.2fx", ratio);
-      char props_cell[32];
-      std::snprintf(props_cell, sizeof props_cell, "%llu",
-                    static_cast<unsigned long long>(
-                        reference.implication.propagations));
-      table.add_row(
-          {name_cell, props_cell,
-           rate_cell(narrow_seconds > 0 ? props / narrow_seconds : 0),
-           rate_cell(wide_seconds > 0 ? props / wide_seconds : 0),
-           ratio_cell});
-      if (report.enabled()) {
-        JsonValue json = JsonValue::object();
-        json.set("kind", JsonValue::string("lane-packed"));
-        json.set("circuit", JsonValue::string(target.name));
-        json.set("runs", JsonValue::number(static_cast<std::uint64_t>(runs)));
-        json.set("lanes",
-                 JsonValue::number(static_cast<std::uint64_t>(kMaxLanes)));
-        json.set("narrow_lanes",
-                 JsonValue::number(static_cast<std::uint64_t>(kLanesPerWord)));
-        json.set("kept_paths", JsonValue::number(reference.kept_paths));
-        json.set("work", JsonValue::number(reference.work));
-        json.set("propagations",
-                 JsonValue::number(reference.implication.propagations));
-        json.set("reference_seconds", JsonValue::number(narrow_seconds));
-        json.set("compiled_seconds", JsonValue::number(wide_seconds));
-        json.set("reference_props_per_sec",
-                 JsonValue::number(narrow_seconds > 0 ? props / narrow_seconds
-                                                      : 0));
-        json.set("compiled_props_per_sec",
-                 JsonValue::number(wide_seconds > 0 ? props / wide_seconds
-                                                    : 0));
-        json.set("throughput_ratio", JsonValue::number(ratio));
-        json.set("identical", JsonValue::boolean(identical));
-        report.add_row(std::move(json));
-      }
-      std::fprintf(stderr, "[micro] lane-packed %s done\n", target.name);
-    }
-  }
-
-  // Static-closure row (DESIGN.md §14): a per-literal assert/rollback
-  // sweep from the empty engine state — the exact regime every DFS
-  // root assignment and side-input assert hits — comparing the fused
-  // scalar drain against the closure's bulk row install.  Both engines
-  // are the production ImplicationEngine; only the attached closure
-  // differs, and the closure contract says every per-literal verdict
-  // and ImplicationStats delta must be bit-identical (a hit installs
-  // the recorded drain exactly).  The one-time closure build runs
-  // outside the timed region and is reported separately.
-  // scripts/compare_bench.py --self gates both rows' ratios.
-  {
-    struct ClosureCase {
-      std::string name;
-      Circuit circuit;
-    };
-    std::vector<ClosureCase> cases;
-    if (options.selected("mcnc-like"))
-      cases.push_back({"mcnc-like", mcnc_like()});
-    if (options.selected("deep-mesh")) {
-      CarryMeshProfile mesh;
-      mesh.width = options.quick ? 3 : 4;
-      mesh.depth = options.quick ? 10 : 14;
-      cases.push_back({"deep-mesh", make_carry_mesh(mesh)});
-    }
-    for (ClosureCase& item : cases) {
-      const CompiledCircuit compiled(item.circuit);
-      const StaticClosure closure(compiled);
-
-      ImplicationEngine baseline(compiled);
-      ImplicationEngine fused(compiled);
-      fused.attach_closure(&closure);
-
-      const std::size_t gates = item.circuit.num_gates();
-      const std::size_t literals = 2 * gates;
-      std::vector<std::uint8_t> verdicts(literals);
-      std::vector<ImplicationStats> deltas(literals);
-      const auto sweep = [&](ImplicationEngine& engine, bool record) {
-        engine.reset();
-        std::size_t index = 0;
-        for (GateId gate = 0; gate < gates; ++gate) {
-          for (const Value3 value : {Value3::kZero, Value3::kOne}) {
-            const std::size_t mark = engine.mark();
-            const ImplicationStats before = engine.stats();
-            const bool ok = engine.assign(gate, value);
-            if (record) {
-              verdicts[index] = ok;
-              deltas[index] = engine.stats().delta_since(before);
-            }
-            ++index;
-            engine.rollback(mark);
-          }
-        }
-      };
-
-      const auto [baseline_seconds, fused_seconds] =
-          median_wall_seconds_interleaved(
-              runs, /*min_window_seconds=*/0.05,
-              [&] { sweep(baseline, false); }, [&] { sweep(fused, false); });
-      sweep(baseline, true);
-      std::vector<std::uint8_t> base_verdicts = verdicts;
-      std::vector<ImplicationStats> base_deltas = deltas;
-      sweep(fused, true);
-      bool identical = true;
-      std::uint64_t total_props = 0;
-      for (std::size_t i = 0; i < literals; ++i) {
-        identical = identical && base_verdicts[i] == verdicts[i] &&
-                    base_deltas[i] == deltas[i];
-        total_props += base_deltas[i].propagations;
-      }
-      if (!identical) {
-        std::fprintf(stderr,
-                     "[micro] ERROR: %s closure-fused verdicts or stats "
-                     "diverge from the closure-free engine\n",
-                     item.name.c_str());
-        mismatch = true;
-      }
-
-      const auto props = static_cast<double>(total_props);
-      const double ratio =
-          fused_seconds > 0 ? baseline_seconds / fused_seconds : 0;
-      char ratio_cell[32];
-      std::snprintf(ratio_cell, sizeof ratio_cell, "%.2fx", ratio);
-      char props_cell[32];
-      std::snprintf(props_cell, sizeof props_cell, "%llu",
-                    static_cast<unsigned long long>(total_props));
-      table.add_row(
-          {"closure " + item.name, props_cell,
-           rate_cell(baseline_seconds > 0 ? props / baseline_seconds : 0),
-           rate_cell(fused_seconds > 0 ? props / fused_seconds : 0),
-           ratio_cell});
-      if (report.enabled()) {
-        const ClosureStats& build = closure.build_stats();
-        JsonValue json = JsonValue::object();
-        json.set("kind", JsonValue::string("closure"));
-        json.set("circuit", JsonValue::string(item.name));
-        json.set("runs", JsonValue::number(static_cast<std::uint64_t>(runs)));
-        json.set("literals",
-                 JsonValue::number(static_cast<std::uint64_t>(literals)));
-        json.set("propagations", JsonValue::number(total_props));
-        json.set("reference_seconds", JsonValue::number(baseline_seconds));
-        json.set("compiled_seconds", JsonValue::number(fused_seconds));
-        json.set("reference_props_per_sec",
-                 JsonValue::number(
-                     baseline_seconds > 0 ? props / baseline_seconds : 0));
-        json.set("compiled_props_per_sec",
-                 JsonValue::number(fused_seconds > 0 ? props / fused_seconds
-                                                     : 0));
-        json.set("throughput_ratio", JsonValue::number(ratio));
-        json.set("closure_build_seconds",
-                 JsonValue::number(build.build_seconds));
-        json.set("closure_bytes", JsonValue::number(build.bytes));
-        json.set("identical", JsonValue::boolean(identical));
-        report.add_row(std::move(json));
-      }
-      std::fprintf(stderr, "[micro] closure %s done\n", item.name.c_str());
-    }
   }
 
   std::printf("%s\n", table.to_string().c_str());

@@ -27,17 +27,9 @@
 // benchmark (c432 ... c7552, c6288, example, c17).
 //
 // classify options:  --heuristic=1|2|fus|inverse   (default 2)
-//                    --engine=approx|resilient|bitpar (default approx)
+//                    --engine=approx|resilient (default approx)
 //                                   resilient runs the exact → SAT →
-//                                   approximate degradation ladder;
-//                                   bitpar evaluates sibling branches
-//                                   and packed frontier subtrees in
-//                                   SIMD lanes (bit-identical results,
-//                                   DESIGN.md §11/§15)
-//                    --lanes=N      lane width 1..512 for the bitpar
-//                                   evaluation (implies it when > 1;
-//                                   the engine rounds the plane width
-//                                   up to 64/128/256/512)
+//                                   approximate degradation ladder
 //                    --work-limit=N
 //                    --threads=N    parallel classification engine
 //                                   (0 = all hardware threads; results
@@ -51,19 +43,12 @@
 //                    --cache-dir=D  load/persist the cone cache under
 //                                   directory D (implies --incremental;
 //                                   D is created if its parent exists)
-//                    --implications=off|closure|learned  static
-//                                   implication tier (DESIGN.md §14):
-//                                   closure fuses the precomputed
-//                                   per-literal closure into the drain
-//                                   loop (bit-identical results);
+//                    --implications=off|learned  implication tier:
 //                                   learned adds failed-literal probing
 //                                   of kept paths (sound, smaller kept
 //                                   set; not composable with
 //                                   --incremental)
-//                    --closure-memory-mb=N  memory ceiling for the
-//                                   closure build (requires
-//                                   --implications=closure|learned)
-//                    --learn-budget=N / --learn-depth=N  probe caps for
+//                    --learn-budget=N  probe cap per kept path for
 //                                   --implications=learned
 // atpg options:      --max-paths=N   cap on enumerated must-test paths
 //                    --threads=N
@@ -112,7 +97,6 @@
 #include "serve/frame.h"
 #include "serve/server.h"
 #include "serve/session.h"
-#include "sim/implication_bitpar.h"
 #include "util/fsdir.h"
 #include "util/metrics.h"
 #include "sta/timing.h"
@@ -227,8 +211,7 @@ int cmd_classify(const std::string& spec, int argc, char** argv) {
   std::string stats_json;
   std::string cache_dir;
   std::string implications = "off";
-  bool closure_memory_set = false;
-  bool learn_flag_set = false;
+  bool learn_budget_set = false;
   bool incremental = false;
   CacheFaultInjection cache_inject;
   ClassifyOptions base;
@@ -243,8 +226,6 @@ int cmd_classify(const std::string& spec, int argc, char** argv) {
       base.work_limit = parse_uint64_strict(arg.substr(13), "--work-limit");
     else if (starts_with(arg, "--threads="))
       base.num_threads = parse_size_strict(arg.substr(10), "--threads");
-    else if (starts_with(arg, "--lanes="))
-      base.lanes = parse_size_strict(arg.substr(8), "--lanes");
     else if (starts_with(arg, "--stats-json="))
       stats_json = arg.substr(13);
     else if (arg == "--incremental")
@@ -256,17 +237,9 @@ int cmd_classify(const std::string& spec, int argc, char** argv) {
       incremental = true;
     } else if (starts_with(arg, "--implications="))
       implications = arg.substr(15);
-    else if (starts_with(arg, "--closure-memory-mb=")) {
-      base.closure_memory_mb =
-          parse_uint64_strict(arg.substr(20), "--closure-memory-mb");
-      closure_memory_set = true;
-    } else if (starts_with(arg, "--learn-budget=")) {
+    else if (starts_with(arg, "--learn-budget=")) {
       base.learn_budget = parse_uint64_strict(arg.substr(15), "--learn-budget");
-      learn_flag_set = true;
-    } else if (starts_with(arg, "--learn-depth=")) {
-      base.learn_depth = static_cast<std::uint32_t>(
-          parse_uint64_strict(arg.substr(14), "--learn-depth"));
-      learn_flag_set = true;
+      learn_budget_set = true;
     } else if (starts_with(arg, "--inject-cache-truncate-after="))
       cache_inject.truncate_after_bytes = parse_uint64_strict(
           arg.substr(30), "--inject-cache-truncate-after");
@@ -281,26 +254,18 @@ int cmd_classify(const std::string& spec, int argc, char** argv) {
       return 2;
     }
   }
-  if (implications == "closure") {
-    base.implications = ImplicationTier::kClosure;
-  } else if (implications == "learned") {
+  if (implications == "learned") {
     base.implications = ImplicationTier::kLearned;
   } else if (implications != "off") {
     std::fprintf(stderr,
-                 "usage error: --implications must be off, closure or "
-                 "learned (got '%s')\n",
+                 "usage error: --implications must be off or learned "
+                 "(got '%s')\n",
                  implications.c_str());
     return 2;
   }
-  if (closure_memory_set && base.implications == ImplicationTier::kOff) {
+  if (learn_budget_set && base.implications != ImplicationTier::kLearned) {
     std::fprintf(stderr,
-                 "usage error: --closure-memory-mb requires "
-                 "--implications=closure|learned\n");
-    return 2;
-  }
-  if (learn_flag_set && base.implications != ImplicationTier::kLearned) {
-    std::fprintf(stderr,
-                 "usage error: --learn-budget/--learn-depth require "
+                 "usage error: --learn-budget requires "
                  "--implications=learned\n");
     return 2;
   }
@@ -323,20 +288,6 @@ int cmd_classify(const std::string& spec, int argc, char** argv) {
     std::fprintf(stderr,
                  "usage error: --incremental does not compose with "
                  "--engine=resilient\n");
-    return 2;
-  }
-  // --engine=bitpar is --engine=approx with the lane engine evaluating
-  // sibling branches and packed frontier subtrees (bit-identical
-  // results; --lanes=N sets the width, default one 64-lane plane).
-  if (engine == "bitpar") {
-    if (base.lanes <= 1) base.lanes = 64;
-    engine = "approx";
-  }
-  if (base.lanes < 1 || base.lanes > rd::kMaxLanes) {
-    // Strict bound, not a clamp: a width the build cannot provide is a
-    // usage error naming the flag (exit 2), like every other flag.
-    std::fprintf(stderr, "usage error: --lanes must be 1..%u\n",
-                 rd::kMaxLanes);
     return 2;
   }
   const Circuit circuit = load_circuit(spec);
@@ -437,19 +388,10 @@ int cmd_classify(const std::string& spec, int argc, char** argv) {
               result.rd_percent);
   std::printf("must-test      : %llu\n",
               static_cast<unsigned long long>(result.kept_paths));
-  if (base.implications != ImplicationTier::kOff) {
-    std::printf("implications   : %s (%llu hits, %llu misses",
-                implications.c_str(),
-                static_cast<unsigned long long>(result.closure.hits),
-                static_cast<unsigned long long>(result.closure.misses));
-    if (base.implications == ImplicationTier::kLearned)
-      std::printf(", %llu learned, %llu dropped",
-                  static_cast<unsigned long long>(
-                      result.closure.learned_assignments),
-                  static_cast<unsigned long long>(
-                      result.closure.learned_dropped));
-    std::printf(")\n");
-  }
+  if (result.learned.has_value())
+    std::printf("implications   : learned (%llu learned, %llu dropped)\n",
+                static_cast<unsigned long long>(result.learned->assignments),
+                static_cast<unsigned long long>(result.learned->dropped));
   std::printf("time           : %s\n",
               format_duration(watch.elapsed_seconds()).c_str());
   if (!result.worker_stats.empty())
@@ -778,10 +720,6 @@ int cmd_request(const std::string& port_spec, int argc, char** argv) {
       request.set(
           "threads",
           JsonValue::number(parse_uint64_strict(arg.substr(10), "--threads")));
-    else if (starts_with(arg, "--lanes="))
-      request.set(
-          "lanes",
-          JsonValue::number(parse_uint64_strict(arg.substr(8), "--lanes")));
     else if (starts_with(arg, "--max-paths="))
       request.set("max_paths",
                   JsonValue::number(

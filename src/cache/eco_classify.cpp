@@ -101,11 +101,10 @@ EcoResult classify_eco(const Circuit& circuit, ConeCacheStore& store,
     throw std::invalid_argument(
         "classify_eco: the learned implication tier is not supported in eco "
         "mode (learned kept sets would poison cached cone records)");
-  if (options.base.sort != nullptr || options.base.compiled != nullptr ||
-      options.base.closure != nullptr)
+  if (options.base.sort != nullptr || options.base.compiled != nullptr)
     throw std::invalid_argument(
-        "classify_eco: base.sort/base.compiled/base.closure must be null "
-        "(the driver builds per-cone sorts and closures)");
+        "classify_eco: base.sort/base.compiled must be null "
+        "(the driver builds per-cone sorts)");
 
   Stopwatch watch;
   EcoResult out;
@@ -142,12 +141,6 @@ EcoResult classify_eco(const Circuit& circuit, ConeCacheStore& store,
         total.completed = false;
         total.abort_reason = run.sort_abort_reason;
         break;
-      }
-      if (options.base.implications != ImplicationTier::kOff) {
-        ++out.stats.closure_builds;
-        out.stats.closure_build_seconds += run.result.closure.build_seconds;
-        out.stats.closure.merge(run.result.closure);
-        total.closure.merge(run.result.closure);
       }
       if (!run.result.completed) {
         total.kept_paths += run.result.kept_paths;

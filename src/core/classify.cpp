@@ -1,6 +1,5 @@
 #include "core/classify.h"
 
-#include <algorithm>
 #include <memory>
 #include <stdexcept>
 
@@ -21,36 +20,11 @@ ClassifyResult classify_paths_serial(const Circuit& circuit,
   std::unique_ptr<const CompiledCircuit> owned_compiled;
   const CompiledCircuit& compiled =
       *internal::resolve_compiled(circuit, options, owned_compiled);
-  std::unique_ptr<const StaticClosure> owned_closure;
-  const StaticClosure* closure = nullptr;
-  try {
-    closure = internal::resolve_closure(compiled, options, owned_closure);
-  } catch (const GuardTrippedError& error) {
-    // Closure build blown off its memory budget (or a tripped guard):
-    // the run aborts before any DFS work, with the typed cause.
-    result.completed = false;
-    result.abort_reason = error.reason();
-    internal::finish_classify_result(circuit, &result);
-    result.wall_seconds = watch.elapsed_seconds();
-    return result;
-  }
   internal::SerialBudget budget(options.work_limit, options.guard);
-  // The serial driver's only lane consumer is sibling-branch chunking,
-  // whose widest batch is the largest gate fan-out.  Clamp the engine
-  // to that demand: plane-word cost is paid per op whether lanes are
-  // live or not, so a 512-lane request on a fan-out-4 circuit would
-  // run 8x the word work for the same answers.  Lane width never
-  // affects per-lane semantics, so results stay bit-identical.
-  ClassifyOptions dfs_options = options;
-  if (dfs_options.lanes > 1)
-    dfs_options.lanes = std::min<std::size_t>(
-        dfs_options.lanes,
-        std::max<std::uint32_t>(compiled.max_fanout_count(), 2));
   internal::SeedDfs<internal::SerialBudget> dfs(
-      compiled, dfs_options, budget,
+      compiled, options, budget,
       options.collect_lead_counts ? &result.kept_controlling_per_lead
-                                  : nullptr,
-      closure);
+                                  : nullptr);
   try {
     for (const internal::ClassifySeed& seed :
          internal::enumerate_seeds(circuit)) {
@@ -87,10 +61,8 @@ ClassifyResult classify_paths_serial(const Circuit& circuit,
     result.abort_reason = error.reason();
   }
   result.implication = dfs.implication_stats();
-  if (closure != nullptr) {
-    result.closure = closure->build_stats();
-    result.closure.merge(dfs.closure_summary());
-  }
+  if (options.implications == ImplicationTier::kLearned)
+    result.learned = dfs.learned_stats();
   internal::finish_classify_result(circuit, &result);
   result.wall_seconds = watch.elapsed_seconds();
   return result;

@@ -30,7 +30,6 @@
 #include "core/input_sort.h"
 #include "netlist/circuit.h"
 #include "paths/counting.h"
-#include "sim/closure.h"
 #include "sim/implication.h"
 #include "util/biguint.h"
 #include "util/exec_guard.h"
@@ -43,23 +42,19 @@ enum class Criterion : std::uint8_t {
   kInputSort,
 };
 
-/// Static implication tier (DESIGN.md §14).
+/// Implication tier of the classification DFS.
 ///
-///   kOff      the event-drain engine exactly as before (default).
-///   kClosure  attach the per-literal static implication closure to
-///             every worker engine: footprint-disjoint assignments are
-///             served by a precomputed row install.  Pure accelerator —
-///             every deterministic result field stays bit-identical to
-///             kOff at every thread and lane count.
-///   kLearned  closure plus failed-literal probing of surviving paths:
-///             unknown side inputs of a survivor are probed at both
-///             polarities; a refuted polarity forces the other, both
-///             refuted proves the path's constraint set unsatisfiable
-///             and drops it.  Sound (dropped paths are truly robust
-///             dependent — exact ⊆ learned ⊆ local) and deterministic,
-///             but the kept set genuinely shrinks, so learned results
-///             must not be mixed with other tiers by caching layers.
-enum class ImplicationTier : std::uint8_t { kOff, kClosure, kLearned };
+///   kOff      local implications only, as in the paper (default).
+///   kLearned  failed-literal probing of surviving paths: unknown side
+///             inputs of a survivor are probed at both polarities on
+///             the worker's engine; a refuted polarity forces the
+///             other, both refuted proves the path's constraint set
+///             unsatisfiable and drops it.  Sound (dropped paths are
+///             truly robust dependent — exact ⊆ learned ⊆ local) and
+///             deterministic, but the kept set genuinely shrinks, so
+///             learned results must not be mixed with kOff results by
+///             caching layers.
+enum class ImplicationTier : std::uint8_t { kOff, kLearned };
 
 struct ClassifyOptions {
   Criterion criterion = Criterion::kFunctionalSensitizable;
@@ -93,20 +88,6 @@ struct ClassifyOptions {
   /// (bench_ablation).  Always on in normal use.
   bool backward_implications = true;
 
-  /// Lane width of the bit-parallel sibling-branch evaluation
-  /// (DESIGN.md §11).  1 (default) keeps the scalar DFS; 2..64 lets
-  /// each prefix-tree node evaluate up to that many sibling branches'
-  /// side-input programs in one lockstep SIMD drain (the engine rounds
-  /// the plane width up to 64/128/256/512 lanes), pruning the
-  /// conflicted ones without running them on the scalar engine; the
-  /// parallel engine additionally packs whole groups of frontier
-  /// subtrees into the lanes (DESIGN.md §15).  The engine layer clamps
-  /// to kMaxLanes (512); the CLI and serve layers reject larger values
-  /// as usage errors instead.  Results — kept sets, counters,
-  /// ImplicationStats, abort verdicts — are bit-identical for every
-  /// setting and every thread count.
-  std::size_t lanes = 1;
-
   /// Optional execution guard (deadline / work / memory / cancel),
   /// polled at the same pruning points as work_limit.  Not owned; may
   /// be shared across concurrent runs.  With no guard (or an untripped
@@ -126,32 +107,12 @@ struct ClassifyOptions {
   /// way.  Not owned; shared read-only across concurrent runs.
   const CompiledCircuit* compiled = nullptr;
 
-  /// Static implication tier (see ImplicationTier).  kOff by default:
-  /// the closure costs a per-circuit build, so callers opt in.
+  /// Implication tier (see ImplicationTier).  kOff by default.
   ImplicationTier implications = ImplicationTier::kOff;
-
-  /// Optional pre-built closure (the serve layer's CircuitCache and the
-  /// ECO engine's cone cache build one per compiled circuit and share
-  /// it across requests).  Must have been built over the resolved
-  /// compiled circuit with the same backward_implications mode.  Null
-  /// (default) builds privately per run when the tier needs one.  Not
-  /// owned; shared read-only across concurrent runs.
-  const StaticClosure* closure = nullptr;
-
-  /// Standalone memory ceiling for a privately built closure, in MiB
-  /// (0 = unlimited).  Exceeding it aborts the run with
-  /// AbortReason::kMemory, exactly like a guard memory trip.
-  std::uint64_t closure_memory_mb = 0;
 
   /// kLearned: cap on probed side-input literals per surviving path
   /// (0 = probe every unknown side input along the path).
   std::uint64_t learn_budget = 0;
-
-  /// kLearned: probe depth.  1 checks the closure rows statically (a
-  /// literal unsatisfiable from the empty state is unsatisfiable in any
-  /// state — free, but weak); >= 2 (default) runs physical
-  /// failed-literal probes on the worker's engine.
-  std::uint32_t learn_depth = 2;
 };
 
 /// Per-worker observability counters of one parallel classification
@@ -161,6 +122,20 @@ struct ClassifyWorkerStats {
   std::uint64_t steals = 0;        // of those, stolen from another shard
   std::uint64_t work = 0;          // DFS extension steps performed
   double busy_seconds = 0.0;       // wall time inside seed subtrees
+};
+
+/// Failed-literal probing counters of the kLearned tier, summed over
+/// every worker.
+struct LearnedStats {
+  std::uint64_t assignments = 0;  // literals forced by a refuted probe
+  std::uint64_t dropped = 0;      // survivors refuted and dropped
+
+  void merge(const LearnedStats& other) {
+    assignments += other.assignments;
+    dropped += other.dropped;
+  }
+
+  bool operator==(const LearnedStats&) const = default;
 };
 
 struct ClassifyResult {
@@ -204,14 +179,11 @@ struct ClassifyResult {
   /// abort point are scheduling-dependent.
   ImplicationStats implication;
 
-  /// Observability: static-closure counters (all zero when
-  /// options.implications == kOff).  Build-side fields describe the one
-  /// shared closure; hit/miss counters are scheduling-dependent in
-  /// parallel runs (prefix replays re-count) and excluded from the
-  /// determinism guarantee.  learned_dropped is deterministic: the
-  /// probe verdict at each survivor depends only on the engine state
-  /// there, which is thread-count-independent.
-  ClosureStats closure;
+  /// Learned-tier counters; engaged iff options.implications ==
+  /// kLearned.  Deterministic on completed runs: the probe verdict at
+  /// each survivor depends only on the engine state there, which is
+  /// thread-count-independent.
+  std::optional<LearnedStats> learned;
 
   /// Observability: wall-clock seconds of the classification DFS
   /// (excludes the structural counting post-pass).  Nondeterministic.

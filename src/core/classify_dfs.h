@@ -43,7 +43,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -55,7 +54,6 @@
 #include "netlist/compiled.h"
 #include "paths/prefix_tree.h"
 #include "sim/implication.h"
-#include "sim/implication_bitpar.h"
 
 namespace rd::internal {
 
@@ -150,37 +148,6 @@ inline const CompiledCircuit* resolve_compiled(
   }
   owned = std::make_unique<const CompiledCircuit>(
       compile_for_classify(circuit, options));
-  return owned.get();
-}
-
-/// Resolves the static closure a run should use: null when the tier is
-/// kOff, the caller-provided options.closure when set (validated
-/// against the resolved compiled view; the serve/ECO cache hit path),
-/// else a fresh private build parked in `owned`.  A private build
-/// charges options.guard and honors options.closure_memory_mb; both
-/// ceilings surface as GuardTrippedError(kMemory), which the drivers
-/// convert to an aborted result.
-inline const StaticClosure* resolve_closure(
-    const CompiledCircuit& compiled, const ClassifyOptions& options,
-    std::unique_ptr<const StaticClosure>& owned) {
-  if (options.implications == ImplicationTier::kOff) return nullptr;
-  if (options.closure != nullptr) {
-    if (&options.closure->compiled() != &compiled)
-      throw std::invalid_argument(
-          "ClassifyOptions::closure was built over a different compiled "
-          "circuit");
-    if (options.closure->backward_implications() !=
-        options.backward_implications)
-      throw std::invalid_argument(
-          "ClassifyOptions::closure was built with a different "
-          "backward-implications mode");
-    return options.closure;
-  }
-  ClosureBuildOptions build;
-  build.memory_limit_mb = options.closure_memory_mb;
-  build.guard = options.guard;
-  build.backward_implications = options.backward_implications;
-  owned = std::make_unique<const StaticClosure>(compiled, build);
   return owned.get();
 }
 
@@ -342,43 +309,18 @@ class SeedDfs {
 
   /// `lead_counts`, when non-null, accumulates the per-lead
   /// controlling-value survivor tallies (order-independent sums, so a
-  /// per-worker accumulator merges deterministically).  `closure`, when
-  /// non-null, is attached to this driver's scalar engine (resolved by
-  /// the run driver via resolve_closure and shared read-only).
+  /// per-worker accumulator merges deterministically).
   SeedDfs(const CompiledCircuit& compiled, const ClassifyOptions& options,
-          Budget& budget, std::vector<std::uint64_t>* lead_counts,
-          const StaticClosure* closure = nullptr)
+          Budget& budget, std::vector<std::uint64_t>* lead_counts)
       : compiled_(compiled),
         options_(options),
         budget_(budget),
         lead_counts_(lead_counts),
-        closure_(closure),
         engine_(compiled, options.backward_implications) {
-    engine_.attach_closure(closure);
-    if (options.implications == ImplicationTier::kLearned &&
-        closure == nullptr)
-      throw std::invalid_argument("kLearned requires a resolved closure");
     if (options.criterion == Criterion::kInputSort &&
         !compiled.has_low_order_tables())
       throw std::invalid_argument(
           "kInputSort requires a circuit compiled with its InputSort");
-    if constexpr (!kFrontier) {
-      // Lane-parallel sibling-branch evaluation (DESIGN.md §11),
-      // overlaying this driver's scalar engine.  The frontier
-      // instantiation (phase 1 of the parallel engine) stays scalar:
-      // it only walks the shallow prefix above the cut, and lanes
-      // change nothing observable, so bit-identity across engines is
-      // unaffected.
-      lanes_ = static_cast<unsigned>(
-          std::min<std::size_t>(std::max<std::size_t>(options.lanes, 1),
-                                kMaxLanes));
-      if (lanes_ > 1) {
-        lane_engine_ = std::make_unique<LaneImplicationEngine>(
-            compiled, options.backward_implications, &engine_, lanes_);
-        chunk_pool_ =
-            std::make_unique<std::deque<std::vector<LaneChild>>>();
-      }
-    }
   }
 
   /// Implication-engine event counters accumulated over every seed
@@ -387,16 +329,8 @@ class SeedDfs {
     return engine_.stats();
   }
 
-  /// This driver's closure counters (observability; drivers merge the
-  /// shared closure's build_stats in separately, exactly once).
-  ClosureStats closure_summary() const {
-    ClosureStats stats;
-    stats.hits = engine_.closure_hits();
-    stats.misses = engine_.closure_misses();
-    stats.learned_assignments = learned_assignments_;
-    stats.learned_dropped = learned_dropped_;
-    return stats;
-  }
+  /// This driver's learned-tier counters (merged by summation).
+  const LearnedStats& learned_stats() const { return learned_; }
 
   /// Runs one seed subtree.  `max_keys` caps this seed's key
   /// collection (the caller threads the global collect_paths_limit
@@ -446,79 +380,43 @@ class SeedDfs {
   SeedOutcome run_subtree(const ClassifySeed& seed, const LeadId* prefix,
                           std::size_t depth, std::uint64_t max_keys) {
     begin_node(max_keys, seed.final_value);
-    const GateId tip = establish_subtree_prefix(seed, prefix, depth);
+    const ImplicationEngine::Checkpoint replay = engine_.checkpoint();
+    // The trail must be valid too: ensure_prefix (the run_seed path)
+    // caches the pair root without recording a trail, so a matching
+    // prefix alone does not license mark_at/common_prefix below.
+    if (!prefix_valid_ || !trail_.valid() || prefix_pi_ != seed.pi ||
+        prefix_value_ != seed.final_value) {
+      engine_.reset();
+      trail_.invalidate();
+      // Frontier nodes only exist under conflict-free pair prefixes,
+      // so the root assignment cannot fail here.
+      prefix_ok_ = engine_.assign(seed.pi, to_value3(seed.final_value));
+      prefix_pi_ = seed.pi;
+      prefix_value_ = seed.final_value;
+      prefix_valid_ = true;
+      trail_.reset_root(engine_.mark());
+    }
+    const std::size_t keep = trail_.common_prefix(prefix, depth);
+    engine_.rollback(trail_.mark_at(keep));
+    trail_.pop_to(keep);
+    for (std::size_t d = keep; d < depth; ++d) {
+      // The prefix is conflict-free, so the driver's on-path value is
+      // always held on the engine.
+      const CompiledLead& lead = compiled_.lead(prefix[d]);
+      assert_lead_constraints(lead, to_bool(engine_.value(lead.driver)));
+      trail_.push(prefix[d], engine_.mark());
+    }
+    engine_.restore_stats(replay.stats);
+
+    // The engine now holds exactly the serial engine's state at this
+    // tree node.  segment_ carries the full prefix so recorded keys
+    // and lead tallies cover the whole path.
+    segment_.assign(prefix, prefix + depth);
+    const GateId tip = compiled_.lead(prefix[depth - 1]).sink;
     if (!extend(tip, to_bool(engine_.value(tip))))
       outcome_.exhausted = true;
     segment_.clear();
     return std::move(outcome_);
-  }
-
-  /// One frontier subtree handed to run_packed: its lead prefix in the
-  /// caller's flat pool.
-  struct PackedItem {
-    const LeadId* prefix = nullptr;
-    std::uint32_t depth = 0;
-  };
-
-  /// Lane-packed frontier scheduling (DESIGN.md §15): runs `count`
-  /// frontier subtrees — all of one (pi, final value) pair, in
-  /// canonical item order — producing outcomes bit-identical to
-  /// `count` separate run_subtree calls, but evaluating every item's
-  /// first-level side-input programs in ONE lane batch first.  Each
-  /// item's first-level children occupy a contiguous lane block; the
-  /// item's own prefix constraints are installed into that block as
-  /// masked lane assignments over the shared pair-root base, so lane
-  /// occupancy is set by the frontier width instead of one node's
-  /// fan-out.  The install charges are watermarked away (phase 1
-  /// already charged every prefix edge), so a conflicted child's
-  /// replayed delta is exactly its own program's scalar charge — the
-  /// work/budget charge stream, every ImplicationStats counter, and
-  /// the survivor order stay bit-identical to the serial engine.
-  /// Falls back to plain run_subtree per item when lanes are off, the
-  /// pack degenerates, or (defensively) a prefix install conflicts.
-  void run_packed(const ClassifySeed& seed, const PackedItem* items,
-                  std::size_t count, std::uint64_t max_keys,
-                  SeedOutcome* out) {
-    static_assert(!kFrontier, "run_packed is a phase-2 (plain) facility");
-    const bool packed =
-        lane_engine_ != nullptr && count >= 2 &&
-        evaluate_pack(seed, items, count);
-    for (std::size_t i = 0; i < count; ++i) {
-      if (!packed || pack_valid_[i] == 0) {
-        out[i] = run_subtree(seed, items[i].prefix, items[i].depth, max_keys);
-        continue;
-      }
-      begin_node(max_keys, seed.final_value);
-      const GateId tip =
-          establish_subtree_prefix(seed, items[i].prefix, items[i].depth);
-      const bool tip_value = to_bool(engine_.value(tip));
-      // Canonical first-level consumption from the pack verdicts: one
-      // work unit and one budget charge per child in order (the exact
-      // serial step stream), replaying lane-proven conflicts and
-      // descending into survivors on the scalar engine — below this
-      // level the normal scalar + sibling-lane recursion runs.
-      bool ok = true;
-      for (std::size_t c = pack_child_begin_[i];
-           c < pack_child_begin_[i + 1]; ++c) {
-        const LaneChild& child = pack_children_[c];
-        ++outcome_.work;
-        if (!budget_.charge()) {
-          ok = false;
-          break;
-        }
-        if (child.conflicted) {
-          engine_.replay_stats(child.delta);
-          continue;
-        }
-        if (!descend_through(child.lead, tip_value)) {
-          ok = false;
-          break;
-        }
-      }
-      if (!ok) outcome_.exhausted = true;
-      segment_.clear();
-      out[i] = std::move(outcome_);
-    }
   }
 
   /// Returns a consumed outcome's arena to the pool so the next node's
@@ -542,54 +440,6 @@ class SeedDfs {
     current_final_pi_value_ = final_value;
   }
 
-  /// Re-asserts one already-charged prefix lead during subtree
-  /// adoption.  The on-path value is read back from the engine (the
-  /// prefix is conflict-free, so the driver's value is always held),
-  /// and the caller disowns the assertion's charges via restore_stats.
-  void replay_lead(LeadId lead_id) {
-    const CompiledLead& lead = compiled_.lead(lead_id);
-    assert_lead_constraints(lead, to_bool(engine_.value(lead.driver)));
-  }
-
-  /// Charge-free prefix adoption shared by run_subtree and the packed
-  /// consumption loop: leaves the scalar engine holding exactly the
-  /// serial engine's state at the tree node `prefix[0..depth)` of
-  /// `seed` (checkpoint → rollback to the common trail prefix → replay
-  /// the divergent suffix → restore_stats), loads segment_ with the
-  /// full prefix, and returns the subtree's tip gate.
-  GateId establish_subtree_prefix(const ClassifySeed& seed,
-                                  const LeadId* prefix, std::size_t depth) {
-    const ImplicationEngine::Checkpoint replay = engine_.checkpoint();
-    // The trail must be valid too: ensure_prefix (the run_seed path)
-    // caches the pair root without recording a trail, so a matching
-    // prefix alone does not license mark_at/common_prefix below.
-    if (!prefix_valid_ || !trail_.valid() || prefix_pi_ != seed.pi ||
-        prefix_value_ != seed.final_value) {
-      engine_.reset();
-      trail_.invalidate();
-      // Frontier nodes only exist under conflict-free pair prefixes,
-      // so the root assignment cannot fail here.
-      prefix_ok_ = engine_.assign(seed.pi, to_value3(seed.final_value));
-      prefix_pi_ = seed.pi;
-      prefix_value_ = seed.final_value;
-      prefix_valid_ = true;
-      trail_.reset_root(engine_.mark());
-    }
-    const std::size_t keep = trail_.common_prefix(prefix, depth);
-    engine_.rollback(trail_.mark_at(keep));
-    trail_.pop_to(keep);
-    for (std::size_t d = keep; d < depth; ++d) {
-      replay_lead(prefix[d]);
-      trail_.push(prefix[d], engine_.mark());
-    }
-    engine_.restore_stats(replay.stats);
-
-    // The engine now holds exactly the serial engine's state at this
-    // tree node.  segment_ carries the full prefix so recorded keys
-    // and lead tallies cover the whole path.
-    segment_.assign(prefix, prefix + depth);
-    return compiled_.lead(prefix[depth - 1]).sink;
-  }
   /// Leaves the engine holding exactly the (pi, value) assignment (and
   /// its implications).  On a cache hit the assignment is not re-run;
   /// the recorded stats delta is replayed instead, so the cumulative
@@ -608,35 +458,32 @@ class SeedDfs {
     prefix_valid_ = true;
   }
 
-  /// The side-input constraint row `lead` imposes for on-path driver
-  /// value `tip_value` under the active criterion (empty when it
-  /// imposes none): tip_value == nc selects (FU2)/(NR2)/(π2), every
-  /// side input stable non-controlling; a controlling on-path value
-  /// selects nothing under (FU2), the full row under (NR2), and the
-  /// low-order row under (π3).  Single source of truth for the scalar
-  /// assert below and the lane-parallel branch programs.
-  SideSpan lead_constraints(const CompiledLead& lead, bool tip_value) const {
-    if (!lead.sink_has_ctrl) return SideSpan{};
-    if (tip_value == lead.sink_nc) return compiled_.side_all_span(lead);
-    switch (options_.criterion) {
-      case Criterion::kFunctionalSensitizable:
-        return SideSpan{};
-      case Criterion::kNonRobust:
-        return compiled_.side_all_span(lead);
-      case Criterion::kInputSort:
-        return compiled_.side_low_span(lead);
-    }
-    return SideSpan{};
-  }
-
   /// Asserts `lead`'s side-input constraints for on-path driver value
-  /// `tip_value` under the active criterion.  Returns false on a local
-  /// implication conflict.  After a true return the sink's stable
-  /// value is implied: a controlling on-path input forces the
+  /// `tip_value` under the active criterion: tip_value == nc selects
+  /// (FU2)/(NR2)/(π2), every side input stable non-controlling; a
+  /// controlling on-path value selects nothing under (FU2), the full
+  /// row under (NR2), and the low-order row under (π3).  Returns false
+  /// on a local implication conflict.  After a true return the sink's
+  /// stable value is implied: a controlling on-path input forces the
   /// controlled output; a non-controlling one had all side inputs
   /// pinned non-controlling.  Single-input gates imply directly.
   bool assert_lead_constraints(const CompiledLead& lead, bool tip_value) {
-    const SideSpan span = lead_constraints(lead, tip_value);
+    if (!lead.sink_has_ctrl) return true;
+    SideSpan span;
+    if (tip_value == lead.sink_nc) {
+      span = compiled_.side_all_span(lead);
+    } else {
+      switch (options_.criterion) {
+        case Criterion::kFunctionalSensitizable:
+          return true;
+        case Criterion::kNonRobust:
+          span = compiled_.side_all_span(lead);
+          break;
+        case Criterion::kInputSort:
+          span = compiled_.side_low_span(lead);
+          break;
+      }
+    }
     const Value3 value = to_value3(span.nc);
     for (const GateId* gate = span.begin(); gate != span.end(); ++gate)
       if (!engine_.assign(*gate, value)) return false;
@@ -644,19 +491,12 @@ class SeedDfs {
   }
 
   /// Extends the current segment through `lead_id`, whose driver has
-  /// stable value `tip_value`.  Returns false when the budget is
-  /// exhausted (serial) or the run is cancelled (parallel).
+  /// stable value `tip_value`: charge, assert, cut or descend, roll
+  /// back.  Returns false when the budget is exhausted (serial) or the
+  /// run is cancelled (parallel).
   bool extend_through(LeadId lead_id, bool tip_value) {
     ++outcome_.work;
     if (!budget_.charge()) return false;
-    return descend_through(lead_id, tip_value);
-  }
-
-  /// The body of extend_through after the work charge: assert, cut or
-  /// descend, roll back.  Split out so the lane-parallel loop can
-  /// charge each child itself (keeping the budget/guard step stream
-  /// canonical) and skip this body entirely for lane-proven conflicts.
-  bool descend_through(LeadId lead_id, bool tip_value) {
     const CompiledLead& lead = compiled_.lead(lead_id);
     const std::size_t mark = engine_.mark();
     bool ok = true;
@@ -689,274 +529,9 @@ class SeedDfs {
       return true;
     }
     const LeadId* lead = compiled_.fanout_lead_begin(tip);
-    const std::uint32_t count = compiled_.fanout_count(tip);
-    if constexpr (!kFrontier) {
-      if (lane_engine_ != nullptr && count >= 2)
-        return extend_bitpar(lead, count, tip_value);
-    }
-    const LeadId* const end = lead + count;
+    const LeadId* const end = lead + compiled_.fanout_count(tip);
     for (; lead != end; ++lead)
       if (!extend_through(*lead, tip_value)) return false;
-    return true;
-  }
-
-  /// One child of the current tree node in the lane-parallel loop.
-  struct LaneChild {
-    LeadId lead = kNullLead;
-    SideSpan span;            // its side-input program (may be empty)
-    int lane = -1;            // -1: empty program, nothing to evaluate
-    bool conflicted = false;  // lane-proven conflict (skip the child)
-    ImplicationStats delta;   // its exact scalar charges when conflicted
-  };
-
-  /// Lane-parallel sibling evaluation (DESIGN.md §11).  Children are
-  /// walked in canonical order in chunks of up to lanes_ nonempty
-  /// constraint programs.  Each chunk is evaluated in one lockstep
-  /// drain over the lane engine (the scalar engine's node state is the
-  /// base overlay), then the canonical per-child loop replays exactly
-  /// the scalar DFS: one work unit and one budget charge per child in
-  /// order — so the budget/guard step stream, and with it every abort
-  /// verdict, is bit-identical — descending into survivors on the
-  /// scalar engine and crediting each conflicted child's exact stats
-  /// delta via replay_stats instead of re-running it.
-  bool extend_bitpar(const LeadId* leads, std::uint32_t count,
-                     bool tip_value) {
-    // Descending into a survivor re-enters extend_bitpar for the child
-    // node, so the chunk scratch must be per-recursion-level: one
-    // pooled vector per DFS depth, reused across the (many) nodes at
-    // that depth.  The lane engine itself IS safely shared down the
-    // recursion — every verdict and stats delta is copied into the
-    // chunk before the first descend, so a deeper node's begin_batch
-    // clobbering the lane state is invisible up here.
-    if (bitpar_depth_ == chunk_pool_->size()) chunk_pool_->emplace_back();
-    std::vector<LaneChild>& chunk = (*chunk_pool_)[bitpar_depth_];
-    ++bitpar_depth_;
-    const bool ok = extend_bitpar_at(chunk, leads, count, tip_value);
-    --bitpar_depth_;
-    return ok;
-  }
-
-  bool extend_bitpar_at(std::vector<LaneChild>& chunk, const LeadId* leads,
-                        std::uint32_t count, bool tip_value) {
-    std::uint32_t next = 0;
-    while (next < count) {
-      chunk.clear();
-      unsigned used = 0;
-      while (next < count) {
-        const LeadId id = leads[next];
-        const SideSpan span = lead_constraints(compiled_.lead(id), tip_value);
-        if (!span.empty() && used == lanes_) break;
-        chunk.push_back(LaneChild{id, span,
-                                   span.empty() ? -1 : static_cast<int>(used),
-                                   false, ImplicationStats{}});
-        if (!span.empty()) ++used;
-        ++next;
-      }
-      // A chunk with fewer than two live programs gains nothing from
-      // the lane drain; the scalar descend settles those children.
-      if (used >= 2) evaluate_chunk(chunk);
-      for (const LaneChild& child : chunk) {
-        ++outcome_.work;
-        if (!budget_.charge()) return false;
-        if (child.conflicted) {
-          engine_.replay_stats(child.delta);
-          continue;
-        }
-        if (!descend_through(child.lead, tip_value)) return false;
-      }
-    }
-    return true;
-  }
-
-  /// Runs the current chunk's programs in lockstep on the lane engine
-  /// and stamps each laned child's verdict (+ exact stats delta for
-  /// conflicts).  Round r asserts the r-th side-input gate of every
-  /// still-live program, merging consecutive lanes asserting the same
-  /// (gate, value) into one masked call; per-lane call order is
-  /// program order, so each lane's event stream is its scalar stream.
-  void evaluate_chunk(std::vector<LaneChild>& chunk) {
-    LaneMask batch = 0;
-    for (const LaneChild& child : chunk)
-      if (child.lane >= 0) batch |= lane_bit(child.lane);
-    lane_engine_->begin_batch(batch);
-    const LaneMask alive = run_round_robin(chunk, batch);
-    for (LaneChild& child : chunk) {
-      if (child.lane < 0 || (alive & lane_bit(child.lane))) continue;
-      child.conflicted = true;
-      child.delta = lane_engine_->lane_stats(child.lane);
-    }
-  }
-
-  /// Round-robin core shared by the sibling-chunk and frontier-pack
-  /// paths: round r asserts the r-th side-input gate of every
-  /// still-live program, merging consecutive lanes asserting the same
-  /// (gate, value) into one masked call; per-lane call order is
-  /// program order, so each lane's event stream is its scalar stream.
-  /// Returns the lanes of `alive` that never conflicted.
-  LaneMask run_round_robin(const std::vector<LaneChild>& chunk,
-                           LaneMask alive) {
-    for (std::uint32_t r = 0; alive != 0; ++r) {
-      bool any = false;
-      GateId run_gate = kNullGate;
-      bool run_nc = false;
-      LaneMask run_mask = 0;
-      for (const LaneChild& child : chunk) {
-        if (child.lane < 0 || r >= child.span.count) continue;
-        const LaneMask bit = lane_bit(child.lane);
-        if (!(alive & bit)) continue;
-        any = true;
-        const GateId gate = child.span.gates[r];
-        if (run_mask != 0 &&
-            (gate != run_gate || child.span.nc != run_nc)) {
-          alive = (alive & ~run_mask) |
-                  lane_engine_->assign(run_gate, to_value3(run_nc), run_mask);
-          run_mask = 0;
-        }
-        run_gate = gate;
-        run_nc = child.span.nc;
-        run_mask |= bit;
-      }
-      if (run_mask != 0)
-        alive = (alive & ~run_mask) |
-                lane_engine_->assign(run_gate, to_value3(run_nc), run_mask);
-      if (!any) break;
-    }
-    return alive;
-  }
-
-  /// The lane half of run_packed.  Leaves the scalar engine holding
-  /// exactly the pair-root assignment (charge-free), installs each
-  /// item's prefix into its contiguous lane block over that base,
-  /// watermarks the per-lane counters past the installs, and drains
-  /// every item's first-level side-input programs in one shared
-  /// round-robin batch.  Verdicts and per-conflict deltas land in
-  /// pack_children_ / pack_child_begin_; pack_valid_[i] clears when
-  /// item i could not be lane-evaluated (the consumer then runs the
-  /// plain run_subtree path, which is observably identical).  Returns
-  /// false when nothing could be packed (total fan-out exceeds the
-  /// lane count — the caller's packer prevents this by construction).
-  bool evaluate_pack(const ClassifySeed& seed, const PackedItem* items,
-                     std::size_t count) {
-    // Lane demand: item i's children occupy the block of
-    // fanout_count(tip) lanes starting at its running total.  The
-    // whole pack must fit — callers pack by the same measure.
-    std::uint64_t demand = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      const PackedItem& item = items[i];
-      const GateId tip = compiled_.lead(item.prefix[item.depth - 1]).sink;
-      demand += compiled_.fanout_count(tip);
-    }
-    if (demand > lanes_ || demand == 0) return false;
-
-    // The lane evaluation needs the scalar base to hold exactly the
-    // pair-root assignment: unwind any prefix leads the trail still
-    // carries (or establish the pair from scratch), charge-free — the
-    // consumption loop re-adopts and re-accounts each item's prefix
-    // exactly as run_subtree does.
-    const ImplicationEngine::Checkpoint replay = engine_.checkpoint();
-    // As in establish_subtree_prefix: a pair root cached without a
-    // trail (ensure_prefix) cannot be unwound via mark_at(0).
-    if (!prefix_valid_ || !trail_.valid() || prefix_pi_ != seed.pi ||
-        prefix_value_ != seed.final_value) {
-      engine_.reset();
-      trail_.invalidate();
-      prefix_ok_ = engine_.assign(seed.pi, to_value3(seed.final_value));
-      prefix_pi_ = seed.pi;
-      prefix_value_ = seed.final_value;
-      prefix_valid_ = true;
-      trail_.reset_root(engine_.mark());
-    } else {
-      engine_.rollback(trail_.mark_at(0));
-      trail_.pop_to(0);
-    }
-    engine_.restore_stats(replay.stats);
-
-    pack_valid_.assign(count, 1);
-    pack_children_.clear();
-    pack_child_begin_.assign(count + 1, 0);
-
-    LaneMask batch = 0;
-    unsigned base_lane = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      const PackedItem& item = items[i];
-      const GateId tip = compiled_.lead(item.prefix[item.depth - 1]).sink;
-      const unsigned width = compiled_.fanout_count(tip);
-      batch |= lane_mask_below(base_lane + width) & ~lane_mask_below(base_lane);
-      base_lane += width;
-    }
-    lane_engine_->begin_batch(batch);
-
-    base_lane = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      const PackedItem& item = items[i];
-      const GateId tip = compiled_.lead(item.prefix[item.depth - 1]).sink;
-      const unsigned width = compiled_.fanout_count(tip);
-      const LaneMask block =
-          lane_mask_below(base_lane + width) & ~lane_mask_below(base_lane);
-
-      // Install the item's prefix into its block: per lead, the same
-      // constraint row the scalar replay asserts, as one masked call
-      // over the whole block.  Driver values are read back through the
-      // block's first lane — lane planes over the pair-root base are
-      // exactly the scalar state the serial DFS would see here.
-      bool live = width > 0;
-      bool driver_value = seed.final_value;
-      for (std::uint32_t d = 0; live && d < item.depth; ++d) {
-        const CompiledLead& lead = compiled_.lead(item.prefix[d]);
-        const SideSpan span = lead_constraints(lead, driver_value);
-        const Value3 nc = to_value3(span.nc);
-        for (const GateId* gate = span.begin(); gate != span.end(); ++gate) {
-          if (lane_engine_->assign(*gate, nc, block) != block) {
-            // Cannot happen — frontier nodes are live, so their prefix
-            // constraints are conflict-free — but a lost lane must
-            // never feed verdicts: fall back to the scalar path.
-            live = false;
-            break;
-          }
-        }
-        if (live)
-          driver_value = to_bool(lane_engine_->value(lead.sink, base_lane));
-      }
-
-      // First-level children: nonempty side-input programs take the
-      // block's lanes in canonical child order (width bounds their
-      // count, so the block always suffices).
-      const LeadId* lead = compiled_.fanout_lead_begin(tip);
-      unsigned used = 0;
-      for (std::uint32_t c = 0; c < width; ++c) {
-        const SideSpan span =
-            lead_constraints(compiled_.lead(lead[c]), driver_value);
-        const bool laned = live && !span.empty();
-        pack_children_.push_back(
-            LaneChild{lead[c], span,
-                      laned ? static_cast<int>(base_lane + used) : -1, false,
-                      ImplicationStats{}});
-        if (laned) ++used;
-      }
-      if (!live) pack_valid_[i] = 0;
-      pack_child_begin_[i + 1] = pack_children_.size();
-      base_lane += width;
-    }
-
-    // Watermark each child lane past its item's install charges (the
-    // prefix was charged by phase 1; only the child's own program may
-    // bill), then drain all programs in one shared round robin.
-    LaneMask alive = 0;
-    pack_watermarks_.assign(pack_children_.size(), ImplicationStats{});
-    for (std::size_t c = 0; c < pack_children_.size(); ++c) {
-      const LaneChild& child = pack_children_[c];
-      if (child.lane < 0) continue;
-      pack_watermarks_[c] = lane_engine_->lane_stats(child.lane);
-      alive |= lane_bit(child.lane);
-    }
-    alive = run_round_robin(pack_children_, alive);
-    for (std::size_t c = 0; c < pack_children_.size(); ++c) {
-      LaneChild& child = pack_children_[c];
-      if (child.lane < 0 || (alive & lane_bit(child.lane))) continue;
-      child.conflicted = true;
-      child.delta =
-          lane_engine_->lane_stats(child.lane).delta_since(pack_watermarks_[c]);
-    }
     return true;
   }
 
@@ -967,16 +542,6 @@ class SeedDfs {
   /// (strengthening later probes of the same survivor); the caller
   /// rolls everything back to its mark.
   bool probe_literal(GateId gate) {
-    if (options_.learn_depth <= 1) {
-      // Static tier: a closure row recording a conflict from the
-      // *empty* state is unsatisfiable in every state.
-      const bool ok0 = closure_->row(gate, Value3::kZero).ok;
-      const bool ok1 = closure_->row(gate, Value3::kOne).ok;
-      if (ok0 && ok1) return true;
-      if (!ok0 && !ok1) return false;
-      ++learned_assignments_;
-      return engine_.assign(gate, ok0 ? Value3::kZero : Value3::kOne);
-    }
     const std::size_t mark = engine_.mark();
     const bool ok0 = engine_.assign(gate, Value3::kZero);
     engine_.rollback(mark);
@@ -984,12 +549,12 @@ class SeedDfs {
     if (!ok1) {
       engine_.rollback(mark);
       if (!ok0) return false;
-      ++learned_assignments_;
+      ++learned_.assignments;
       engine_.assign(gate, Value3::kZero);
       return true;
     }
     if (!ok0) {
-      ++learned_assignments_;  // gate = 1 already holds on the engine
+      ++learned_.assignments;  // gate = 1 already holds on the engine
       return true;
     }
     engine_.rollback(mark);
@@ -1036,7 +601,7 @@ class SeedDfs {
       // Refuted before it is counted: no kept_paths increment, no
       // merge event, no key, no lead tallies — the path joins the
       // identified RD set.
-      ++learned_dropped_;
+      ++learned_.dropped;
       return;
     }
     ++outcome_.kept_paths;
@@ -1071,36 +636,8 @@ class SeedDfs {
   const ClassifyOptions& options_;
   Budget& budget_;
   std::vector<std::uint64_t>* lead_counts_;
-  const StaticClosure* closure_;
   ImplicationEngine engine_;
-  std::uint64_t learned_assignments_ = 0;
-  std::uint64_t learned_dropped_ = 0;
-
-  // Lane-parallel sibling evaluation (null/scalar unless
-  // options.lanes > 1 in a non-frontier instantiation).  The lane
-  // engine overlays engine_, whose state is frozen for the duration of
-  // each chunk evaluation; chunk_ is per-node scratch.
-  std::unique_ptr<LaneImplicationEngine> lane_engine_;
-  unsigned lanes_ = 1;
-  // One chunk scratch per DFS depth.  A deque, not a vector of
-  // vectors: extend_bitpar holds a reference to its depth's chunk
-  // across descend_through, and a deeper recursion may grow the pool —
-  // deque growth never moves existing elements, vector growth would.
-  // Heap-held and built with the lane engine: a default-constructed
-  // deque allocates its node map eagerly, which the scalar
-  // (lanes == 1) driver would pay per classify run for nothing.
-  std::unique_ptr<std::deque<std::vector<LaneChild>>> chunk_pool_;
-  std::size_t bitpar_depth_ = 0;
-
-  // run_packed scratch: the pack's first-level child verdicts (one
-  // contiguous vector with per-item offsets), per-lane install
-  // watermarks, and per-item validity.  Materialized before any
-  // consumption descends — the recursion below re-enters the lane
-  // engine and clobbers its batch state.
-  std::vector<LaneChild> pack_children_;
-  std::vector<std::size_t> pack_child_begin_;
-  std::vector<ImplicationStats> pack_watermarks_;
-  std::vector<std::uint8_t> pack_valid_;
+  LearnedStats learned_;
 
   std::vector<LeadId> segment_;
   SeedOutcome outcome_;

@@ -55,13 +55,12 @@ namespace rd {
 /// object inside "serve" payloads, and optional "cache_evictions" /
 /// "cache_failures" counters there (the CircuitCache verdict beyond
 /// plain hit/miss).
-/// Further v2 additions (no bump): an optional "closure" object inside
-/// classify payloads (static implication tier observability — build
-/// shape/cost, hit/miss counters, learned-probe counters), an optional
-/// "closure" object inside "eco" blocks (per-cone builds +
-/// build_seconds + hit/miss), and an optional "closure" object inside
-/// "serve" payloads ({"cached", "build_seconds"} — whether the daemon
-/// served the request from an entry's shared closure).
+/// Further v2 additions (no bump): an optional "learned" object inside
+/// classify payloads ({"assignments", "dropped"}), present only when
+/// the run used the learned implication tier.  Earlier v2 builds could
+/// emit optional "closure" objects in classify, eco and serve payloads;
+/// they are no longer produced, and a report still carrying one stays
+/// valid (unknown keys are ignored), so this needs no bump either.
 inline constexpr std::uint64_t kRunReportSchemaVersion = 2;
 
 /// The shared envelope: {"schema_version": N, "kind": kind}.

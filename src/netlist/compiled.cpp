@@ -1,6 +1,5 @@
 #include "netlist/compiled.h"
 
-#include <algorithm>
 #include <new>
 #include <stdexcept>
 #include <type_traits>
@@ -109,8 +108,6 @@ CompiledCircuit::CompiledCircuit(const Circuit& circuit,
     fanout_offsets[id + 1] =
         fanout_offsets[id] +
         static_cast<std::uint32_t>(gate.fanout_leads.size());
-    max_fanout_count_ = std::max(
-        max_fanout_count_, static_cast<std::uint32_t>(gate.fanout_leads.size()));
     gate_words[id] = gate_word::make(id, sem);
     single_sources[id] = (sem.kind == GateSemantics::Kind::kSingle ||
                           sem.kind == GateSemantics::Kind::kSingleInv)

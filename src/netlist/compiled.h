@@ -121,10 +121,9 @@ inline GateWord make(GateId gate, const GateSemantics& sem) {
 /// A side-input constraint list as one contiguous view: the gates of
 /// one precompiled table row plus the stable value (the sink's
 /// non-controlling value) they are asserted to.  This is the shape the
-/// classifiers consume a row in — the scalar DFS walks it gate by
-/// gate, the bit-parallel lane engine turns it into one lane's
-/// assertion program — so it is defined here, next to the tables, and
-/// handed out by side_all_span()/side_low_span().
+/// classifiers consume a row in — the DFS walks it gate by gate — so
+/// it is defined here, next to the tables, and handed out by
+/// side_all_span()/side_low_span().
 struct SideSpan {
   const GateId* gates = nullptr;
   std::uint32_t count = 0;
@@ -132,7 +131,6 @@ struct SideSpan {
 
   const GateId* begin() const { return gates; }
   const GateId* end() const { return gates + count; }
-  bool empty() const { return count == 0; }
 };
 
 /// One lead plus everything extend_through() needs about its sink
@@ -235,12 +233,6 @@ class CompiledCircuit {
     return fanout_offsets_[id + 1] - fanout_offsets_[id];
   }
 
-  /// Largest fanout_count() over all gates — the widest sibling chunk
-  /// a lane engine can see on this circuit.  Run drivers clamp their
-  /// lane-engine width to the demand actually reachable so a wide
-  /// --lanes request never pays dead plane words (DESIGN.md §15).
-  std::uint32_t max_fanout_count() const { return max_fanout_count_; }
-
   // ---- static local-implication tables ----
 
   /// Gates driving every side input of `lead`'s sink, in pin order.
@@ -255,8 +247,8 @@ class CompiledCircuit {
   }
 
   /// The same two table rows as one-read views (gates, count and the
-  /// asserted non-controlling value together) — the shape the lane
-  /// engine's program builder and the DFS consume a row in.
+  /// asserted non-controlling value together) — the shape the DFS
+  /// consumes a row in.
   SideSpan side_all_span(const CompiledLead& lead) const {
     return SideSpan{side_all_gates_ + lead.side_all_begin,
                     lead.side_all_count, lead.sink_nc};
@@ -272,7 +264,6 @@ class CompiledCircuit {
   const Circuit* circuit_;
   bool has_low_order_tables_ = false;
   std::size_t num_gates_ = 0;
-  std::uint32_t max_fanout_count_ = 0;
   std::size_t num_leads_ = 0;
 
   // Every 32-bit table in one exactly-sized backing store, everything

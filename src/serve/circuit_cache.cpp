@@ -58,19 +58,6 @@ struct CircuitCache::Impl {
   }
 };
 
-const StaticClosure* CircuitCache::Entry::shared_closure(
-    bool* built_now) const {
-  bool ran = false;
-  std::call_once(closure_once, [this, &ran] {
-    Stopwatch watch;
-    closure = std::make_unique<const StaticClosure>(*compiled);
-    closure_seconds = watch.elapsed_seconds();
-    ran = true;
-  });
-  if (built_now != nullptr) *built_now = ran;
-  return closure.get();
-}
-
 CircuitCache::CircuitCache(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity),
       impl_(std::make_unique<Impl>()) {}

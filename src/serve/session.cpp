@@ -13,7 +13,6 @@
 #include "gen/iscas_like.h"
 #include "io/bench_io.h"
 #include "io/run_report.h"
-#include "sim/implication_bitpar.h"
 #include "util/metrics.h"
 
 namespace rd::serve {
@@ -311,18 +310,16 @@ JsonValue Session::run_classify(const JsonValue& request, std::uint64_t id,
   base.work_limit = get_uint(request, "work_limit", base.work_limit);
   base.num_threads = static_cast<std::size_t>(
       get_uint(request, "threads", base.num_threads));
-  base.lanes = static_cast<std::size_t>(get_uint(request, "lanes", base.lanes));
-  // Strict bound, not a clamp: a lane width this build cannot provide
-  // is a typed bad_request, mirroring the CLI's exit-2 usage error.
-  if (base.lanes < 1 || base.lanes > kMaxLanes)
-    throw BadRequest("field 'lanes' must be 1.." + std::to_string(kMaxLanes));
+  // The lane engine is gone (DESIGN.md "Removed accelerators"): a
+  // request that still names a lane width is refused, like the CLI's
+  // unknown option, rather than silently run on the scalar engine.
+  if (request.find("lanes") != nullptr)
+    throw BadRequest("field 'lanes' was removed; classification is scalar");
   const std::string implications = get_string(request, "implications", "off");
-  if (implications == "closure") {
-    base.implications = ImplicationTier::kClosure;
-  } else if (implications == "learned") {
+  if (implications == "learned") {
     base.implications = ImplicationTier::kLearned;
   } else if (implications != "off") {
-    throw BadRequest("field 'implications' must be off, closure or learned");
+    throw BadRequest("field 'implications' must be off or learned");
   }
 
   const GuardSpec guard_spec = GuardSpec::from_request(request);
@@ -419,12 +416,6 @@ JsonValue Session::run_classify(const JsonValue& request, std::uint64_t id,
     options.sort = nullptr;
   }
   options.compiled = entry->compiled.get();
-  // The closure is entry-resident like the compiled circuit: built by
-  // the first opted-in request (outside this request's guard, since it
-  // outlives it) and shared read-only afterwards.
-  bool closure_built_now = false;
-  if (options.implications != ImplicationTier::kOff)
-    options.closure = entry->shared_closure(&closure_built_now);
 
   RdIdentification rd;
   rd.classify = classify_paths(entry->circuit, options);
@@ -435,15 +426,8 @@ JsonValue Session::run_classify(const JsonValue& request, std::uint64_t id,
   record_classify_metrics(rd.classify, metrics);
   JsonValue report =
       classify_run_report(entry->circuit.name(), heuristic, rd, &metrics);
-  JsonValue payload = serve_payload(id, has_id, cache_hit, content_key, &cache);
-  if (options.implications != ImplicationTier::kOff) {
-    JsonValue closure_payload = JsonValue::object();
-    closure_payload.set("cached", JsonValue::boolean(!closure_built_now));
-    closure_payload.set("build_seconds",
-                        JsonValue::number(entry->closure_seconds));
-    payload.set("closure", std::move(closure_payload));
-  }
-  report.set("serve", std::move(payload));
+  report.set("serve",
+             serve_payload(id, has_id, cache_hit, content_key, &cache));
   return report;
 }
 

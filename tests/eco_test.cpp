@@ -16,9 +16,9 @@
 #include "core/heuristics.h"
 #include "gen/examples.h"
 #include "gen/iscas_like.h"
+#include "netlist/compiled.h"
 #include "netlist/cone_signature.h"
 #include "netlist/transform.h"
-#include "sim/closure.h"
 
 namespace rd {
 namespace {
@@ -286,51 +286,12 @@ TEST(Eco, RejectsUnsupportedOptionCombinations) {
     EXPECT_THROW(classify_eco(circuit, store, options), std::invalid_argument);
   }
   {
-    // The driver builds per-cone closures; a caller-supplied whole-
-    // circuit closure cannot apply to cone-local gate ids.
+    // The driver compiles per cone; a caller-supplied whole-circuit
+    // compiled view cannot apply to cone-local gate ids.
     EcoOptions options;
     const CompiledCircuit compiled(circuit);
-    const StaticClosure closure(compiled);
-    options.base.implications = ImplicationTier::kClosure;
-    options.base.closure = &closure;
+    options.base.compiled = &compiled;
     EXPECT_THROW(classify_eco(circuit, store, options), std::invalid_argument);
-  }
-}
-
-// The closure tier composes with eco mode: warm-after-edit stays
-// bit-identical to cold (per-cone closures are rebuilt, never cached
-// across circuit versions), and EcoStats carries the build counters.
-TEST(Eco, ClosureTierWarmEqualsColdAndCountsBuilds) {
-  for (const Circuit& circuit : fixtures()) {
-    const Circuit edited = edited_copy(circuit);
-    EcoOptions options;
-    options.base.collect_paths_limit = 32;
-    options.base.implications = ImplicationTier::kClosure;
-
-    ConeCacheStore cold_store;
-    const EcoResult cold = classify_eco(edited, cold_store, options);
-    ASSERT_TRUE(cold.classify.completed) << circuit.name();
-    EXPECT_EQ(cold.stats.closure_builds, cold.stats.cones) << circuit.name();
-    EXPECT_GT(cold.classify.closure.hits + cold.classify.closure.misses, 0u)
-        << circuit.name();
-
-    ConeCacheStore warm_store;
-    classify_eco(circuit, warm_store, options);  // seed with pre-edit run
-    const EcoResult warm = classify_eco(edited, warm_store, options);
-    expect_same_deterministic_fields(warm.classify, cold.classify,
-                                     circuit.name() + " closure-eco");
-    // Cached cones skip reclassification, so only the recomputed cones
-    // pay a closure build.
-    EXPECT_EQ(warm.stats.closure_builds, warm.stats.misses) << circuit.name();
-
-    // The closure tier must not change any verdict the off tier
-    // produces through the same eco driver.
-    EcoOptions off = options;
-    off.base.implications = ImplicationTier::kOff;
-    ConeCacheStore off_store;
-    const EcoResult plain = classify_eco(edited, off_store, off);
-    expect_same_deterministic_fields(plain.classify, cold.classify,
-                                     circuit.name() + " closure-vs-off");
   }
 }
 

@@ -2,6 +2,7 @@
 // and generator profiles (gtest TEST_P / INSTANTIATE_TEST_SUITE_P).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 
 #include "atpg/robust.h"
@@ -292,7 +293,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(5u, 7u, 9u),
                        ::testing::Values(1u, 2u, 4u)));
 
-// ---- bit-parallel lane invariance -----------------------------------------
+// ---- reference == serial == parallel invariance ---------------------------
 
 bool all_deterministic_fields_equal(const ClassifyResult& a,
                                     const ClassifyResult& b) {
@@ -300,28 +301,35 @@ bool all_deterministic_fields_equal(const ClassifyResult& a,
          a.completed == b.completed && a.abort_reason == b.abort_reason &&
          a.kept_keys == b.kept_keys &&
          a.kept_controlling_per_lead == b.kept_controlling_per_lead &&
-         a.implication == b.implication;
+         a.implication == b.implication && a.learned == b.learned;
 }
 
-// (circuit selector, threads, lanes): selectors 0..2 are random
-// iscas-like circuits, 3..4 are carry meshes — the deep-tree regime
-// where the lane chunks actually fill up.
+// Selectors 0..2 are random iscas-like circuits, 3..4 are carry meshes
+// — the deep-tree regime where the parallel engine cuts below the seed
+// level.
+Circuit invariance_circuit(int selector) {
+  if (selector < 3) return small_circuit(61u + selector);
+  CarryMeshProfile profile;
+  profile.width = 3;
+  profile.depth = selector == 3 ? 5 : 7;
+  return make_carry_mesh(profile);
+}
+
+// (circuit selector, threads, key cap): the frozen reference, the
+// compiled serial engine and the parallel engine must agree on every
+// deterministic field, with the kept-key collection truncated at the
+// cap (collect_paths_limit) — the parallel merge must pick exactly the
+// reference's first `cap` keys.  The suite and instantiation names
+// predate the removal of the lane engine (DESIGN.md "Removed
+// accelerators", whose lane widths the third axis used to sweep); they
+// are kept so the test ids stay stable.
 class BitparParallelInvariance
     : public ::testing::TestWithParam<
-          std::tuple<int, std::size_t, std::size_t>> {
- protected:
-  static Circuit circuit_for(int selector) {
-    if (selector < 3) return small_circuit(61u + selector);
-    CarryMeshProfile profile;
-    profile.width = 3;
-    profile.depth = selector == 3 ? 5 : 7;
-    return make_carry_mesh(profile);
-  }
-};
+          std::tuple<int, std::size_t, std::size_t>> {};
 
 TEST_P(BitparParallelInvariance, AllEnginesAgreeBitForBit) {
-  const auto [selector, threads, lanes] = GetParam();
-  const Circuit circuit = circuit_for(selector);
+  const auto [selector, threads, cap] = GetParam();
+  const Circuit circuit = invariance_circuit(selector);
   const InputSort sort = heuristic1_sort(circuit);
 
   for (Criterion criterion :
@@ -331,131 +339,117 @@ TEST_P(BitparParallelInvariance, AllEnginesAgreeBitForBit) {
     options.criterion = criterion;
     options.sort = criterion == Criterion::kInputSort ? &sort : nullptr;
     options.collect_lead_counts = true;
-    options.collect_paths_limit = 1u << 16;
+    options.collect_paths_limit = cap;
 
-    // Reference and compiled-scalar fix the contract; the laned
-    // serial and parallel engines must reproduce it bit for bit.
+    // The frozen reference fixes the contract; the compiled serial and
+    // parallel engines must reproduce it bit for bit.
     const ClassifyResult reference =
         classify_paths_reference(circuit, options);
-    const ClassifyResult scalar = classify_paths_serial(circuit, options);
-    ASSERT_TRUE(all_deterministic_fields_equal(reference, scalar));
-    options.lanes = lanes;
-    const ClassifyResult laned = classify_paths_serial(circuit, options);
-    ASSERT_TRUE(all_deterministic_fields_equal(reference, laned))
-        << "criterion " << static_cast<int>(criterion) << " lanes "
-        << lanes;
+    ASSERT_EQ(reference.kept_keys.size(),
+              std::min<std::uint64_t>(cap, reference.kept_paths));
+    const ClassifyResult serial = classify_paths_serial(circuit, options);
+    ASSERT_TRUE(all_deterministic_fields_equal(reference, serial))
+        << "criterion " << static_cast<int>(criterion) << " cap " << cap;
     options.num_threads = threads;
     const ClassifyResult parallel =
         classify_paths_parallel(circuit, options);
     ASSERT_TRUE(all_deterministic_fields_equal(reference, parallel))
-        << "criterion " << static_cast<int>(criterion) << " lanes "
-        << lanes << " threads " << threads;
+        << "criterion " << static_cast<int>(criterion) << " cap " << cap
+        << " threads " << threads;
   }
 }
 
 TEST_P(BitparParallelInvariance, WorkLimitBoundaryIsExact) {
-  const auto [selector, threads, lanes] = GetParam();
-  const Circuit circuit = circuit_for(selector);
+  const auto [selector, threads, cap] = GetParam();
+  const Circuit circuit = invariance_circuit(selector);
   ClassifyOptions options;
+  options.collect_paths_limit = cap;
   const ClassifyResult full = classify_paths_serial(circuit, options);
   ASSERT_TRUE(full.completed);
 
-  // One unit short of completion must abort with the scalar engine's
-  // exact verdict and partial counts — the lane chunks charge the
-  // budget child by child, so the abort lands mid-chunk at every lane
-  // width; exactly the full budget completes.
+  // One unit short of completion must abort with the reference
+  // engine's exact verdict and partial counts (keys included, up to the
+  // cap); exactly the full budget completes.
   options.work_limit = full.work - 1;
-  const ClassifyResult short_scalar =
-      classify_paths_serial(circuit, options);
-  options.lanes = lanes;
-  const ClassifyResult short_laned =
-      classify_paths_serial(circuit, options);
-  ASSERT_FALSE(short_laned.completed);
-  ASSERT_EQ(short_laned.abort_reason, AbortReason::kWorkBudget);
-  ASSERT_TRUE(all_deterministic_fields_equal(short_scalar, short_laned));
+  const ClassifyResult short_reference =
+      classify_paths_reference(circuit, options);
+  const ClassifyResult short_serial = classify_paths_serial(circuit, options);
+  ASSERT_FALSE(short_serial.completed);
+  ASSERT_EQ(short_serial.abort_reason, AbortReason::kWorkBudget);
+  ASSERT_TRUE(all_deterministic_fields_equal(short_reference, short_serial));
   options.num_threads = threads;
   const ClassifyResult short_parallel =
       classify_paths_parallel(circuit, options);
   ASSERT_FALSE(short_parallel.completed);
   ASSERT_EQ(short_parallel.abort_reason, AbortReason::kWorkBudget);
   options.work_limit = full.work;
-  options.num_threads = 1;
   ASSERT_TRUE(classify_paths_serial(circuit, options).completed);
+  ASSERT_TRUE(classify_paths_parallel(circuit, options).completed);
 }
 
 TEST_P(BitparParallelInvariance, InjectedGuardTripsIdentically) {
-  const auto [selector, threads, lanes] = GetParam();
-  const Circuit circuit = circuit_for(selector);
+  const auto [selector, threads, cap] = GetParam();
+  const Circuit circuit = invariance_circuit(selector);
   // A deterministic mid-run guard trip: the poll schedule is a pure
-  // function of the step stream, which the laned DFS preserves, so
-  // the serial partial counts must match the scalar engine's exactly.
-  ClassifyResult scalar;
-  {
+  // function of the step stream, so two serial runs must stop at the
+  // same point with the same partial counts and keys.
+  const auto tripped = [&circuit, cap = cap](std::size_t num_threads) {
     ExecGuard guard;
     guard.inject_trip_at(3, AbortReason::kDeadline);
     ClassifyOptions options;
     options.guard = &guard;
-    scalar = classify_paths_serial(circuit, options);
-  }
-  EXPECT_FALSE(scalar.completed);
-  EXPECT_EQ(scalar.abort_reason, AbortReason::kDeadline);
-  {
-    ExecGuard guard;
-    guard.inject_trip_at(3, AbortReason::kDeadline);
-    ClassifyOptions options;
-    options.guard = &guard;
-    options.lanes = lanes;
-    const ClassifyResult laned = classify_paths_serial(circuit, options);
-    ASSERT_TRUE(all_deterministic_fields_equal(scalar, laned))
-        << "lanes " << lanes;
-  }
+    options.collect_paths_limit = cap;
+    options.num_threads = num_threads;
+    return num_threads == 1 ? classify_paths_serial(circuit, options)
+                            : classify_paths_parallel(circuit, options);
+  };
+  const ClassifyResult serial = tripped(1);
+  EXPECT_FALSE(serial.completed);
+  EXPECT_EQ(serial.abort_reason, AbortReason::kDeadline);
+  EXPECT_LE(serial.kept_keys.size(), cap);
+  ASSERT_TRUE(all_deterministic_fields_equal(serial, tripped(1)));
   // The parallel engine's partial counts are scheduling-dependent, but
-  // the typed verdict must survive lanes at every thread count.
-  {
-    ExecGuard guard;
-    guard.inject_trip_at(3, AbortReason::kDeadline);
-    ClassifyOptions options;
-    options.guard = &guard;
-    options.lanes = lanes;
-    options.num_threads = threads;
-    const ClassifyResult parallel =
-        classify_paths_parallel(circuit, options);
-    EXPECT_FALSE(parallel.completed);
-    EXPECT_EQ(parallel.abort_reason, AbortReason::kDeadline);
-  }
+  // the typed verdict must survive at every thread count.
+  const ClassifyResult parallel = tripped(threads == 1 ? 2 : threads);
+  EXPECT_FALSE(parallel.completed);
+  EXPECT_EQ(parallel.abort_reason, AbortReason::kDeadline);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     CircuitsThreadsLanes, BitparParallelInvariance,
     ::testing::Combine(::testing::Values(0, 1, 2, 3, 4),
                        ::testing::Values(1u, 2u, 4u),
-                       // 7 = sub-word odd width; 128 = 2-word kernel;
-                       // 320 = 8-word kernel with 192 permanently dead
-                       // lanes (plane widths round up to a power of two
-                       // words); 512 = full-width 8-word kernel.
+                       // Key caps: 1 and 7 truncate inside the first
+                       // seeds' subtrees; the larger caps cut deeper or
+                       // collect every kept path.
                        ::testing::Values(1u, 7u, 64u, 128u, 320u, 512u)));
 
-// ---- static-closure invariance (DESIGN.md §14) -----------------------------
+// ---- learned-tier invariance -----------------------------------------------
 
-// (circuit selector, threads, lanes): the closure tier must be a pure
-// perf substitution — every deterministic field bit-identical to the
-// closure-free run across serial, laned and parallel drivers — and the
-// learned tier must shrink kept sets deterministically.
+// (circuit selector, threads, probe budget): the learned tier
+// (ImplicationTier::kLearned, failed-literal probes of each survivor's
+// side inputs, at most `budget` per survivor) must be a deterministic
+// function of the circuit — identical across serial runs, thread counts
+// and abort points — and may only drop survivors.  The suite name
+// predates the removal of the static closure tier (DESIGN.md "Removed
+// accelerators"); it is kept so the test ids stay stable.
 class ClosureInvariance
     : public ::testing::TestWithParam<
           std::tuple<int, std::size_t, std::size_t>> {
  protected:
   static Circuit circuit_for(int selector) {
-    if (selector < 2) return small_circuit(61u + selector);
-    CarryMeshProfile profile;
-    profile.width = 3;
-    profile.depth = selector == 2 ? 5 : 7;
-    return make_carry_mesh(profile);
+    return invariance_circuit(selector < 2 ? selector : selector + 1);
+  }
+  static ClassifyOptions learned_options(std::uint64_t budget) {
+    ClassifyOptions options;
+    options.implications = ImplicationTier::kLearned;
+    options.learn_budget = budget;
+    return options;
   }
 };
 
 TEST_P(ClosureInvariance, ClosureTierIsBitIdentical) {
-  const auto [selector, threads, lanes] = GetParam();
+  const auto [selector, threads, budget] = GetParam();
   const Circuit circuit = circuit_for(selector);
   const InputSort sort = heuristic1_sort(circuit);
 
@@ -467,136 +461,138 @@ TEST_P(ClosureInvariance, ClosureTierIsBitIdentical) {
     off.collect_lead_counts = true;
     off.collect_paths_limit = 1u << 16;
     const ClassifyResult baseline = classify_paths_serial(circuit, off);
+    EXPECT_FALSE(baseline.learned.has_value());
 
-    ClassifyOptions with = off;
-    with.implications = ImplicationTier::kClosure;
+    ClassifyOptions with = learned_options(budget);
+    with.criterion = off.criterion;
+    with.sort = off.sort;
+    with.collect_lead_counts = true;
+    with.collect_paths_limit = off.collect_paths_limit;
     const ClassifyResult serial = classify_paths_serial(circuit, with);
-    ASSERT_TRUE(all_deterministic_fields_equal(baseline, serial));
-    EXPECT_GT(serial.closure.hits + serial.closure.misses, 0u);
+    ASSERT_TRUE(serial.learned.has_value());
+    // Probing runs at the leaves only: the DFS itself, and so its work
+    // and implication stream up to each survivor, is the off run's.
+    EXPECT_EQ(serial.work, baseline.work);
+    EXPECT_EQ(serial.kept_paths + serial.learned->dropped,
+              baseline.kept_paths);
+    for (const auto& key : serial.kept_keys)
+      EXPECT_NE(std::find(baseline.kept_keys.begin(),
+                          baseline.kept_keys.end(), key),
+                baseline.kept_keys.end());
 
-    with.lanes = lanes;
-    const ClassifyResult laned = classify_paths_serial(circuit, with);
-    ASSERT_TRUE(all_deterministic_fields_equal(baseline, laned))
-        << "lanes " << lanes;
     with.num_threads = threads;
     const ClassifyResult parallel = classify_paths_parallel(circuit, with);
-    ASSERT_TRUE(all_deterministic_fields_equal(baseline, parallel))
-        << "lanes " << lanes << " threads " << threads;
+    ASSERT_TRUE(all_deterministic_fields_equal(serial, parallel))
+        << "budget " << budget << " threads " << threads;
   }
 }
 
 TEST_P(ClosureInvariance, LearnedTierShrinksDeterministically) {
-  const auto [selector, threads, lanes] = GetParam();
+  const auto [selector, threads, budget] = GetParam();
   const Circuit circuit = circuit_for(selector);
 
   ClassifyOptions off;
   off.collect_paths_limit = 1u << 16;
   const ClassifyResult baseline = classify_paths_serial(circuit, off);
 
-  ClassifyOptions learned = off;
-  learned.implications = ImplicationTier::kLearned;
+  ClassifyOptions learned = learned_options(budget);
+  learned.collect_paths_limit = off.collect_paths_limit;
   const ClassifyResult first = classify_paths_serial(circuit, learned);
   const ClassifyResult second = classify_paths_serial(circuit, learned);
   ASSERT_TRUE(all_deterministic_fields_equal(first, second));
-  EXPECT_EQ(first.closure.learned_dropped, second.closure.learned_dropped);
+  ASSERT_TRUE(first.learned.has_value());
 
   // kept(learned) ⊆ kept(local): probing only drops survivors.
   EXPECT_LE(first.kept_paths, baseline.kept_paths);
-  EXPECT_EQ(first.kept_paths + first.closure.learned_dropped,
-            baseline.kept_paths);
+  EXPECT_EQ(first.kept_paths + first.learned->dropped, baseline.kept_paths);
+
+  // A larger budget probes a superset of literals, so it never keeps
+  // more than budget 1.
+  ClassifyOptions narrow = learned;
+  narrow.learn_budget = 1;
+  EXPECT_LE(first.kept_paths, classify_paths_serial(circuit, narrow).kept_paths);
 
   // The drop decision depends only on the engine state at each
-  // survivor, which is thread-count- and lane-width-independent.
-  learned.lanes = lanes;
-  const ClassifyResult laned = classify_paths_serial(circuit, learned);
-  ASSERT_EQ(first.kept_paths, laned.kept_paths);
-  ASSERT_EQ(first.kept_keys, laned.kept_keys);
-  EXPECT_EQ(first.closure.learned_dropped, laned.closure.learned_dropped);
+  // survivor, which is thread-count-independent.
   learned.num_threads = threads;
   const ClassifyResult parallel = classify_paths_parallel(circuit, learned);
   ASSERT_EQ(first.kept_paths, parallel.kept_paths);
   ASSERT_EQ(first.kept_keys, parallel.kept_keys);
-  EXPECT_EQ(first.closure.learned_dropped,
-            parallel.closure.learned_dropped);
+  EXPECT_EQ(first.learned, parallel.learned);
 }
 
 TEST_P(ClosureInvariance, WorkLimitBoundaryIsExact) {
-  const auto [selector, threads, lanes] = GetParam();
+  const auto [selector, threads, budget] = GetParam();
   const Circuit circuit = circuit_for(selector);
-  ClassifyOptions options;
+  ClassifyOptions options = learned_options(budget);
   const ClassifyResult full = classify_paths_serial(circuit, options);
   ASSERT_TRUE(full.completed);
 
-  // One unit short of completion: the closure substitutes implication
-  // work, never DFS extension steps, so the abort point and the
-  // partial counts must match the closure-free run exactly.
+  // One unit short of completion: probes are not DFS extension steps,
+  // so the learned run aborts exactly where the off run does, and the
+  // partial counts are run-to-run identical.
   options.work_limit = full.work - 1;
-  const ClassifyResult short_off = classify_paths_serial(circuit, options);
-  options.implications = ImplicationTier::kClosure;
-  const ClassifyResult short_closure =
-      classify_paths_serial(circuit, options);
-  ASSERT_FALSE(short_closure.completed);
-  ASSERT_EQ(short_closure.abort_reason, AbortReason::kWorkBudget);
-  ASSERT_TRUE(all_deterministic_fields_equal(short_off, short_closure));
-  options.lanes = lanes;
-  const ClassifyResult short_laned = classify_paths_serial(circuit, options);
-  ASSERT_TRUE(all_deterministic_fields_equal(short_off, short_laned));
+  const ClassifyResult short_learned = classify_paths_serial(circuit, options);
+  ASSERT_FALSE(short_learned.completed);
+  ASSERT_EQ(short_learned.abort_reason, AbortReason::kWorkBudget);
+  ASSERT_TRUE(all_deterministic_fields_equal(
+      short_learned, classify_paths_serial(circuit, options)));
+  ClassifyOptions off;
+  off.work_limit = options.work_limit;
+  const ClassifyResult short_off = classify_paths_serial(circuit, off);
+  ASSERT_EQ(short_off.work, short_learned.work);
+  ASSERT_EQ(short_off.kept_paths,
+            short_learned.kept_paths + short_learned.learned->dropped);
   options.num_threads = threads;
   const ClassifyResult short_parallel =
       classify_paths_parallel(circuit, options);
   ASSERT_FALSE(short_parallel.completed);
   ASSERT_EQ(short_parallel.abort_reason, AbortReason::kWorkBudget);
   options.work_limit = full.work;
+  ASSERT_TRUE(classify_paths_parallel(circuit, options).completed);
   options.num_threads = 1;
-  options.lanes = 1;
   ASSERT_TRUE(classify_paths_serial(circuit, options).completed);
 }
 
 TEST_P(ClosureInvariance, InjectedGuardTripsIdentically) {
-  const auto [selector, threads, lanes] = GetParam();
+  const auto [selector, threads, budget] = GetParam();
   const Circuit circuit = circuit_for(selector);
-  // The closure build never consumes a guard check slot (it polls
-  // tripped() instead of calling check()), so an injected trip lands
-  // on the same downstream check with and without the tier.
-  ClassifyResult off;
-  {
+  // Probes never consume a guard check slot, so an injected trip lands
+  // on the same check with and without the learned tier: the work done
+  // before the trip matches the off run's.
+  const auto tripped = [&circuit](ClassifyOptions options,
+                                  std::size_t num_threads) {
     ExecGuard guard;
     guard.inject_trip_at(3, AbortReason::kDeadline);
-    ClassifyOptions options;
     options.guard = &guard;
-    off = classify_paths_serial(circuit, options);
-  }
+    options.num_threads = num_threads;
+    return num_threads == 1 ? classify_paths_serial(circuit, options)
+                            : classify_paths_parallel(circuit, options);
+  };
+  const ClassifyResult off = tripped(ClassifyOptions{}, 1);
   EXPECT_FALSE(off.completed);
   EXPECT_EQ(off.abort_reason, AbortReason::kDeadline);
-  {
-    ExecGuard guard;
-    guard.inject_trip_at(3, AbortReason::kDeadline);
-    ClassifyOptions options;
-    options.guard = &guard;
-    options.implications = ImplicationTier::kClosure;
-    options.lanes = lanes;
-    const ClassifyResult closure = classify_paths_serial(circuit, options);
-    ASSERT_TRUE(all_deterministic_fields_equal(off, closure))
-        << "lanes " << lanes;
-  }
-  {
-    ExecGuard guard;
-    guard.inject_trip_at(3, AbortReason::kDeadline);
-    ClassifyOptions options;
-    options.guard = &guard;
-    options.implications = ImplicationTier::kClosure;
-    options.lanes = lanes;
-    options.num_threads = threads;
-    const ClassifyResult parallel = classify_paths_parallel(circuit, options);
-    EXPECT_FALSE(parallel.completed);
-    EXPECT_EQ(parallel.abort_reason, AbortReason::kDeadline);
-  }
+  const ClassifyResult learned = tripped(learned_options(budget), 1);
+  EXPECT_FALSE(learned.completed);
+  EXPECT_EQ(learned.abort_reason, AbortReason::kDeadline);
+  EXPECT_EQ(learned.work, off.work);
+  ASSERT_TRUE(all_deterministic_fields_equal(
+      learned, tripped(learned_options(budget), 1)));
+  // The parallel engine's partial counts are scheduling-dependent, but
+  // the typed verdict must survive at every thread count.
+  const ClassifyResult parallel =
+      tripped(learned_options(budget), threads == 1 ? 2 : threads);
+  EXPECT_FALSE(parallel.completed);
+  EXPECT_EQ(parallel.abort_reason, AbortReason::kDeadline);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     CircuitsThreadsLanes, ClosureInvariance,
     ::testing::Combine(::testing::Values(0, 1, 2, 3),
                        ::testing::Values(1u, 2u, 4u),
+                       // Probe budgets: 1 probes one side input per
+                       // survivor; the larger budgets cover every side
+                       // input of these circuits' paths.
                        ::testing::Values(1u, 64u, 128u, 320u, 512u)));
 
 // ---- robust ⊆ non-robust ⊆ FS over seeds ----------------------------------

@@ -456,67 +456,69 @@ TEST(RunReportValidate, RejectsMalformedEcoBlock) {
                           "\"eco.recovery.torn_tmp\" is not a number"));
 }
 
+// The optional classify tier block: the learned counters replaced the
+// removed static closure's block (DESIGN.md "Removed accelerators"); the
+// test ids predate that and are kept stable.
 TEST(RunReport, ClosureBlockConformsToSchemaAndFeedsMetrics) {
   RdIdentification rd = classify_c17();
-  rd.classify.closure.literals = 24;
-  rd.classify.closure.dense_rows = 4;
-  rd.classify.closure.csr_rows = 20;
-  rd.classify.closure.bytes = 4096;
-  rd.classify.closure.build_seconds = 0.001;
-  rd.classify.closure.hits = 17;
-  rd.classify.closure.misses = 3;
-  rd.classify.closure.learned_dropped = 2;
+  rd.classify.learned = LearnedStats{5, 2};
 
   MetricsRegistry metrics;
   record_classify_metrics(rd.classify, metrics);
   const JsonValue report =
       round_trip(classify_run_report("c17", "1", rd, &metrics));
   EXPECT_TRUE(validate_run_report(report).empty());
-  const JsonValue* closure = report.find("classify")->find("closure");
-  ASSERT_NE(closure, nullptr);
-  EXPECT_EQ(closure->find("literals")->as_uint64(), 24u);
-  EXPECT_EQ(closure->find("hits")->as_uint64(), 17u);
-  EXPECT_EQ(closure->find("learned_dropped")->as_uint64(), 2u);
+  const JsonValue* learned = report.find("classify")->find("learned");
+  ASSERT_NE(learned, nullptr);
+  EXPECT_EQ(learned->find("assignments")->as_uint64(), 5u);
+  EXPECT_EQ(learned->find("dropped")->as_uint64(), 2u);
   const JsonValue* counters = report.find("metrics")->find("counters");
   ASSERT_NE(counters, nullptr);
-  EXPECT_EQ(counters->find("closure.hits")->as_uint64(), 17u);
+  EXPECT_EQ(counters->find("learned.assignments")->as_uint64(), 5u);
+  EXPECT_EQ(counters->find("learned.dropped")->as_uint64(), 2u);
 
-  // A tier-off run carries no closure block at all.
+  // A learned run that probed nothing still carries its (zero) block;
+  // a tier-off run carries none at all.
+  rd.classify.learned = LearnedStats{};
+  const JsonValue idle = round_trip(classify_run_report("c17", "1", rd));
+  ASSERT_NE(idle.find("classify")->find("learned"), nullptr);
+  EXPECT_EQ(idle.find("classify")->find("learned")->find("dropped")->as_uint64(),
+            0u);
   const JsonValue plain = round_trip(classify_run_report(
       "c17", "1", classify_c17()));
+  EXPECT_EQ(plain.find("classify")->find("learned"), nullptr);
   EXPECT_EQ(plain.find("classify")->find("closure"), nullptr);
 }
 
 TEST(RunReportValidate, RejectsMalformedClosureBlock) {
   RdIdentification rd = classify_c17();
-  rd.classify.closure.literals = 24;
-  rd.classify.closure.hits = 1;
+  rd.classify.learned = LearnedStats{1, 1};
   const JsonValue pristine = round_trip(classify_run_report("c17", "1", rd));
   ASSERT_TRUE(validate_run_report(pristine).empty());
   JsonValue report = pristine;
 
   JsonValue classify = *pristine.find("classify");
-  classify.set("closure", JsonValue::string("oops"));
+  classify.set("learned", JsonValue::string("oops"));
   report.set("classify", classify);
   EXPECT_TRUE(has_problem(validate_run_report(report),
-                          "\"classify.closure\" is not an object"));
+                          "\"classify.learned\" is not an object"));
 
   classify = *pristine.find("classify");
-  JsonValue no_hits = JsonValue::object();
-  for (const auto& [name, value] : classify.find("closure")->members())
-    if (name != "hits") no_hits.set(name, value);
-  classify.set("closure", std::move(no_hits));
+  JsonValue no_dropped = JsonValue::object();
+  for (const auto& [name, value] : classify.find("learned")->members())
+    if (name != "dropped") no_dropped.set(name, value);
+  classify.set("learned", std::move(no_dropped));
   report.set("classify", classify);
   EXPECT_TRUE(has_problem(validate_run_report(report),
-                          "missing key \"hits\" in classify.closure"));
+                          "missing key \"dropped\" in classify.learned"));
 
   classify = *pristine.find("classify");
-  JsonValue bad_bytes = *classify.find("closure");
-  bad_bytes.set("bytes", JsonValue::string("lots"));
-  classify.set("closure", std::move(bad_bytes));
+  JsonValue bad_count = *classify.find("learned");
+  bad_count.set("assignments", JsonValue::string("lots"));
+  classify.set("learned", std::move(bad_count));
   report.set("classify", classify);
   EXPECT_TRUE(has_problem(validate_run_report(report),
-                          "\"classify.closure.bytes\" is not a number"));
+                          "\"classify.learned.assignments\" is not a number"));
 }
 
 // ---- file output ----------------------------------------------------------

@@ -353,51 +353,20 @@ TEST(Session, IncrementalRequestsShareTheConeCache) {
   EXPECT_EQ(deterministic(cold), deterministic(warm));
 }
 
-TEST(Session, ClosureRequestsShareTheEntryClosureAndStayIdentical) {
-  CircuitCache cache(4);
-  SessionConfig config;
-  config.cache = &cache;
-  Session session{config};
-  const std::string off_request =
+TEST(Session, RemovedClosureTierIsABadRequest) {
+  Session session{SessionConfig{}};
+  // The static closure tier is gone: asking for it is a typed
+  // bad_request whose message names the tiers that remain.
+  const JsonValue refused = handle(
+      session,
       "{\"op\": \"classify\", \"circuit\": {\"builtin\": \"c17\"}, "
-      "\"heuristic\": \"2\"}";
-  const std::string closure_request =
-      "{\"op\": \"classify\", \"circuit\": {\"builtin\": \"c17\"}, "
-      "\"heuristic\": \"2\", \"implications\": \"closure\"}";
-
-  const JsonValue off = handle(session, off_request);
-  ASSERT_TRUE(validate_run_report(off).empty());
-  EXPECT_EQ(off.find("serve")->find("closure"), nullptr);
-
-  // First opted-in request on the entry builds the closure; the second
-  // reuses the entry-resident copy and reports it as cached.
-  const JsonValue cold = handle(session, closure_request);
-  ASSERT_TRUE(validate_run_report(cold).empty());
-  const JsonValue* cold_closure = cold.find("serve")->find("closure");
-  ASSERT_NE(cold_closure, nullptr);
-  EXPECT_FALSE(cold_closure->find("cached")->as_bool());
-  EXPECT_GE(cold_closure->find("build_seconds")->as_double(), 0.0);
-
-  const JsonValue warm = handle(session, closure_request);
-  ASSERT_TRUE(validate_run_report(warm).empty());
-  const JsonValue* warm_closure = warm.find("serve")->find("closure");
-  ASSERT_NE(warm_closure, nullptr);
-  EXPECT_TRUE(warm_closure->find("cached")->as_bool());
-
-  // The closure tier must not perturb any deterministic classify field
-  // (closure hit/miss counters are scheduling-dependent and excluded,
-  // as is the per-run closure block itself).
-  const auto deterministic = [](const JsonValue& report) {
-    JsonValue projected = JsonValue::object();
-    for (const auto& [key, value] : report.find("classify")->members()) {
-      if (key == "wall_seconds" || key == "workers" || key == "closure")
-        continue;
-      projected.set(key, value);
-    }
-    return projected.to_string();
-  };
-  EXPECT_EQ(deterministic(off), deterministic(cold));
-  EXPECT_EQ(deterministic(off), deterministic(warm));
+      "\"implications\": \"closure\"}");
+  ASSERT_TRUE(validate_run_report(refused).empty());
+  EXPECT_EQ(refused.find("kind")->as_string(), "serve_error");
+  EXPECT_EQ(refused.find("error")->find("code")->as_string(), "bad_request");
+  EXPECT_NE(refused.find("error")->find("message")->as_string().find(
+                "off or learned"),
+            std::string::npos);
 }
 
 TEST(Session, LearnedTierWithIncrementalIsABadRequest) {
@@ -417,43 +386,35 @@ TEST(Session, LearnedTierWithIncrementalIsABadRequest) {
   EXPECT_EQ(bad_tier.find("kind")->as_string(), "serve_error");
   EXPECT_EQ(bad_tier.find("error")->find("code")->as_string(), "bad_request");
 
-  // The learned tier itself is fine outside incremental mode.
+  // The learned tier itself is fine outside incremental mode, and its
+  // report carries the classify.learned counters.
   const JsonValue ok = handle(
       session,
       "{\"op\": \"classify\", \"circuit\": {\"builtin\": \"c17\"}, "
       "\"implications\": \"learned\"}");
   ASSERT_TRUE(validate_run_report(ok).empty());
   EXPECT_EQ(ok.find("kind")->as_string(), "classify_run");
+  EXPECT_NE(ok.find("classify")->find("learned"), nullptr);
 }
 
 TEST(Session, LanesOutOfRangeIsABadRequest) {
   Session session{SessionConfig{}};
-  // Strict upper bound: widths past kMaxLanes (512) are typed
-  // bad_request errors naming the field, never silent clamps.
-  const JsonValue over = handle(
-      session,
-      "{\"op\": \"classify\", \"circuit\": {\"builtin\": \"c17\"}, "
-      "\"lanes\": 513}");
-  ASSERT_TRUE(validate_run_report(over).empty());
-  EXPECT_EQ(over.find("kind")->as_string(), "serve_error");
-  EXPECT_EQ(over.find("error")->find("code")->as_string(), "bad_request");
-  EXPECT_NE(over.find("error")->find("message")->as_string().find("lanes"),
-            std::string::npos);
-
-  const JsonValue zero = handle(
-      session,
-      "{\"op\": \"classify\", \"circuit\": {\"builtin\": \"c17\"}, "
-      "\"lanes\": 0}");
-  EXPECT_EQ(zero.find("kind")->as_string(), "serve_error");
-  EXPECT_EQ(zero.find("error")->find("code")->as_string(), "bad_request");
-
-  // The boundary value itself must be accepted.
-  const JsonValue ok = handle(
-      session,
-      "{\"op\": \"classify\", \"circuit\": {\"builtin\": \"c17\"}, "
-      "\"lanes\": 512}");
-  ASSERT_TRUE(validate_run_report(ok).empty());
-  EXPECT_EQ(ok.find("kind")->as_string(), "classify_run");
+  // The lane engine is gone, so every lane width is out of range: the
+  // field is a typed bad_request naming it, never silently ignored.
+  for (const char* lanes : {"513", "0", "512", "1"}) {
+    const JsonValue refused = handle(
+        session,
+        std::string("{\"op\": \"classify\", \"circuit\": "
+                    "{\"builtin\": \"c17\"}, \"lanes\": ") +
+            lanes + "}");
+    ASSERT_TRUE(validate_run_report(refused).empty());
+    EXPECT_EQ(refused.find("kind")->as_string(), "serve_error") << lanes;
+    EXPECT_EQ(refused.find("error")->find("code")->as_string(),
+              "bad_request");
+    EXPECT_NE(
+        refused.find("error")->find("message")->as_string().find("lanes"),
+        std::string::npos);
+  }
 }
 
 TEST(Session, ServePayloadExposesCachePressureCounters) {
