@@ -100,7 +100,8 @@ class Client {
 
 /// The deterministic projection of a job response: everything bit-
 /// identical across cache states, thread counts and lane widths —
-/// i.e. the whole classify object minus wall-clock fields — plus the
+/// i.e. the whole classify object minus wall-clock fields and the
+/// schedule-dependent worker and replay-cache counters — plus the
 /// method.  Two responses serve identical results iff these strings
 /// match.
 std::string deterministic_fields(const JsonValue& report) {
@@ -110,7 +111,7 @@ std::string deterministic_fields(const JsonValue& report) {
   const JsonValue* method = report.find("method");
   if (method != nullptr) projected.set("method", *method);
   for (const auto& [key, value] : classify->members()) {
-    if (key == "wall_seconds" || key == "workers") continue;
+    if (key == "wall_seconds" || key == "workers" || key == "memo") continue;
     projected.set(key, value);
   }
   const JsonValue* prerun = report.find("prerun_work");

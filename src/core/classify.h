@@ -138,6 +138,24 @@ struct LearnedStats {
   bool operator==(const LearnedStats&) const = default;
 };
 
+/// Subtree-replay cache counters (DESIGN.md §14), summed over every
+/// worker.  Serial counts are deterministic; parallel hit counts depend
+/// on which worker ran which subtree, so like worker_stats they carry
+/// no determinism guarantee.
+struct MemoStats {
+  std::uint64_t lookups = 0;        // DFS nodes that probed the table
+  std::uint64_t hits = 0;           // of those, replayed from an entry
+  std::uint64_t replayed_work = 0;  // DFS steps credited by replays
+
+  void merge(const MemoStats& other) {
+    lookups += other.lookups;
+    hits += other.hits;
+    replayed_work += other.replayed_work;
+  }
+
+  bool operator==(const MemoStats&) const = default;
+};
+
 struct ClassifyResult {
   /// |LP^sup| — logical paths that survived (must be tested).
   std::uint64_t kept_paths = 0;
@@ -184,6 +202,12 @@ struct ClassifyResult {
   /// each survivor depends only on the engine state there, which is
   /// thread-count-independent.
   std::optional<LearnedStats> learned;
+
+  /// Subtree-replay counters; engaged iff the run was eligible for the
+  /// replay cache (no kept keys or lead counts collected, tier kOff,
+  /// at least 32 leads).  Observability only, excluded from the
+  /// determinism guarantee.
+  std::optional<MemoStats> memo;
 
   /// Observability: wall-clock seconds of the classification DFS
   /// (excludes the structural counting post-pass).  Nondeterministic.

@@ -36,16 +36,21 @@
 //   * guard striding: SerialBudget polls its ExecGuard once every
 //     kGuardStride charges (passing the accumulated step count, so the
 //     guard's work counter stays exact) plus a flush at every seed
-//     boundary, instead of a poll per DFS step.
+//     boundary, instead of a poll per DFS step;
+//   * subtree replay (DESIGN.md §14): an eligible driver caches each
+//     finished subtree's kept count, work and stats delta under the
+//     engine's value-set key and replays a repeat visit in bulk.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -185,6 +190,23 @@ class SerialBudget {
     return poll_guard();
   }
 
+  /// True when `steps` further charges all stay within the work limit:
+  /// a subtree of that many steps cannot abort on the limit, so it may
+  /// be replayed in bulk instead of explored.
+  bool fits(std::uint64_t steps) const { return used_ + steps <= limit_; }
+
+  /// Charges `steps` replayed DFS steps at once (call only after
+  /// fits(steps)).  The guard sees the same step total as if they had
+  /// been charged one by one.  False once the guard has tripped.
+  bool charge_bulk(std::uint64_t steps) {
+    used_ += steps;
+    if (guard_ == nullptr) return true;
+    if (guard_tripped_) return false;
+    unpolled_ += steps;
+    if (unpolled_ >= kGuardStride) return poll_guard();
+    return true;
+  }
+
   std::uint64_t used() const { return used_; }
 
   /// First trip cause (kNone while charging succeeds).
@@ -253,6 +275,18 @@ class SharedBudget {
     return !shared_->cancelled.load(std::memory_order_relaxed);
   }
 
+  /// Parallel partial counts are scheduling-dependent anyway; only the
+  /// completed/aborted verdict must be exact, and that depends on the
+  /// step total alone, which bulk charging preserves.
+  bool fits(std::uint64_t) const { return true; }
+
+  /// Adds `steps` replayed DFS steps to the flush batch.
+  bool charge_bulk(std::uint64_t steps) {
+    unflushed_ += steps;
+    if (unflushed_ >= kFlushEvery) flush();
+    return !shared_->cancelled.load(std::memory_order_relaxed);
+  }
+
   /// Publishes locally counted steps; call at least once per seed.
   /// The ExecGuard is polled here, at flush granularity, so the hot
   /// path stays two increments and one relaxed load per step.
@@ -273,6 +307,127 @@ class SharedBudget {
   static constexpr std::uint64_t kFlushEvery = 512;
   Shared* shared_;
   std::uint64_t unflushed_ = 0;
+};
+
+/// Whether a run may use the subtree-replay cache.  A replayed subtree
+/// reproduces counts, work and stats but not the per-path side effects
+/// of its survivors — keys, lead tallies and learned probes — so runs
+/// that record any of them explore every subtree.  Circuits below
+/// kReplayMinLeads finish their whole DFS in microseconds, less than
+/// setting up the table and the key costs (bench_micro's example and
+/// c17 rows).  Decided once per run; the phase-1 frontier pass is
+/// excluded separately by SeedDfs.
+inline constexpr std::size_t kReplayMinLeads = 32;
+
+inline bool replay_eligible(const ClassifyOptions& options,
+                            const CompiledCircuit& compiled) {
+  return compiled.num_leads() >= kReplayMinLeads &&
+         options.collect_paths_limit == 0 && !options.collect_lead_counts &&
+         options.implications == ImplicationTier::kOff;
+}
+
+/// Subtree-replay table of one SeedDfs (DESIGN.md §14).  An entry is
+/// keyed by (engine value-set key, tip gate, trail size) and holds what
+/// exploring the DFS subtree below that tip added: kept paths, work and
+/// ImplicationStats.  Everything the engine derives is a function of
+/// its value set, so the subtree's outcome is a function of the key and
+/// a matching entry can stand in for the exploration.
+///
+/// A cache, not a map: two-way buckets, where the first way keeps the
+/// bigger of the subtrees that met there (it saves the most work when
+/// hit) and the second takes whatever the first turned away.
+class SubtreeMemo {
+ public:
+  // Every count is narrowed to 32 bits (a subtree that overflows one
+  // is not stored), so an entry is 48 bytes.
+  struct Entry {
+    StateKey state;
+    GateId tip = kNullGate;
+    std::uint32_t trail = 0;
+    std::uint32_t kept = 0;
+    std::uint32_t work = 0;
+    std::uint32_t assignments = 0;
+    std::uint32_t propagations = 0;
+    std::uint32_t conflicts = 0;
+    std::uint32_t backward = 0;
+
+    bool matches(const StateKey& key, GateId gate,
+                 std::uint32_t size) const {
+      return tip == gate && trail == size && state == key;
+    }
+
+    ImplicationStats stats() const {
+      return ImplicationStats{assignments, propagations, conflicts, backward};
+    }
+  };
+
+  /// Buckets: one per lead of the circuit rounded up to a power of two,
+  /// at most kMaxBuckets (384 KiB in all), so small circuits do not pay
+  /// for a table they cannot fill.  The bytes are charged to `guard` for
+  /// the table's lifetime.
+  SubtreeMemo(std::size_t num_leads, ExecGuard* guard) : guard_(guard) {
+    const std::size_t buckets =
+        std::min(std::bit_ceil(num_leads), kMaxBuckets);
+    entries_ = std::make_unique<Entry[]>(2 * buckets);
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(buckets));
+    bytes_ = 2 * buckets * sizeof(Entry);
+    if (guard_ != nullptr) guard_->add_memory(bytes_);
+  }
+  ~SubtreeMemo() {
+    if (guard_ != nullptr) guard_->sub_memory(bytes_);
+  }
+  SubtreeMemo(const SubtreeMemo&) = delete;
+  SubtreeMemo& operator=(const SubtreeMemo&) = delete;
+
+  /// The entry recorded for (key, tip, trail), or null.
+  const Entry* find(const StateKey& key, GateId tip,
+                    std::uint32_t trail) const {
+    const Entry* bucket = bucket_of(key, tip);
+    if (bucket[0].matches(key, tip, trail)) return &bucket[0];
+    if (bucket[1].matches(key, tip, trail)) return &bucket[1];
+    return nullptr;
+  }
+
+  /// Records a fully explored subtree's deltas.
+  void store(const StateKey& key, GateId tip, std::uint32_t trail,
+             std::uint64_t kept, std::uint64_t work,
+             const ImplicationStats& stats) {
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint32_t>::max();
+    if ((kept | work | stats.assignments | stats.propagations |
+         stats.conflicts | stats.backward) > kMax)
+      return;
+    const Entry entry{key,
+                      tip,
+                      trail,
+                      static_cast<std::uint32_t>(kept),
+                      static_cast<std::uint32_t>(work),
+                      static_cast<std::uint32_t>(stats.assignments),
+                      static_cast<std::uint32_t>(stats.propagations),
+                      static_cast<std::uint32_t>(stats.conflicts),
+                      static_cast<std::uint32_t>(stats.backward)};
+    Entry* bucket = bucket_of(key, tip);
+    if (entry.work >= bucket[0].work) {
+      bucket[1] = bucket[0];
+      bucket[0] = entry;
+    } else {
+      bucket[1] = entry;
+    }
+  }
+
+ private:
+  static constexpr std::size_t kMaxBuckets = std::size_t{1} << 12;
+
+  /// The key half is already uniformly mixed; the tip is folded in so
+  /// equal states under different tips spread out.
+  Entry* bucket_of(const StateKey& key, GateId tip) const {
+    const std::uint64_t mixed = key.lo ^ (tip * 0x9e3779b97f4a7c15ull);
+    return &entries_[2 * (mixed >> shift_)];
+  }
+
+  std::unique_ptr<Entry[]> entries_;
+  unsigned shift_ = 0;
+  std::uint64_t bytes_ = 0;
+  ExecGuard* guard_;
 };
 
 /// Per-node outputs (a seed subtree or a stolen deeper subtree) that
@@ -321,6 +476,12 @@ class SeedDfs {
         !compiled.has_low_order_tables())
       throw std::invalid_argument(
           "kInputSort requires a circuit compiled with its InputSort");
+    if (!kFrontier && lead_counts == nullptr &&
+        replay_eligible(options, compiled)) {
+      memo_ = std::make_unique<SubtreeMemo>(compiled.num_leads(),
+                                            budget.guard());
+      engine_.enable_key();
+    }
   }
 
   /// Implication-engine event counters accumulated over every seed
@@ -331,6 +492,12 @@ class SeedDfs {
 
   /// This driver's learned-tier counters (merged by summation).
   const LearnedStats& learned_stats() const { return learned_; }
+
+  /// This driver's replay-cache counters; engaged iff it has a cache.
+  std::optional<MemoStats> memo_stats() const {
+    if (memo_ == nullptr) return std::nullopt;
+    return memo_stats_;
+  }
 
   /// Runs one seed subtree.  `max_keys` caps this seed's key
   /// collection (the caller threads the global collect_paths_limit
@@ -528,6 +695,39 @@ class SeedDfs {
       record_survivor();
       return true;
     }
+    return memo_ != nullptr ? extend_or_replay(tip, tip_value)
+                            : extend_fanouts(tip, tip_value);
+  }
+
+  /// extend() through the replay cache: a subtree already explored from
+  /// the same (tip, value set) is credited in bulk — its kept paths,
+  /// work, stats delta and budget charges — unless a serial work limit
+  /// would cut it short, in which case it is explored for real so the
+  /// abort lands on the same step.  A fully explored subtree is stored.
+  bool extend_or_replay(GateId tip, bool tip_value) {
+    const StateKey key = engine_.key();
+    const auto trail = static_cast<std::uint32_t>(engine_.mark());
+    const SubtreeMemo::Entry* entry = memo_->find(key, tip, trail);
+    ++memo_stats_.lookups;
+    if (entry != nullptr && budget_.fits(entry->work)) {
+      ++memo_stats_.hits;
+      memo_stats_.replayed_work += entry->work;
+      outcome_.kept_paths += entry->kept;
+      outcome_.work += entry->work;
+      engine_.replay_stats(entry->stats());
+      return budget_.charge_bulk(entry->work);
+    }
+    const std::uint64_t kept_before = outcome_.kept_paths;
+    const std::uint64_t work_before = outcome_.work;
+    const ImplicationStats stats_before = engine_.stats();
+    if (!extend_fanouts(tip, tip_value)) return false;
+    memo_->store(key, tip, trail, outcome_.kept_paths - kept_before,
+                 outcome_.work - work_before,
+                 engine_.stats().delta_since(stats_before));
+    return true;
+  }
+
+  bool extend_fanouts(GateId tip, bool tip_value) {
     const LeadId* lead = compiled_.fanout_lead_begin(tip);
     const LeadId* const end = lead + compiled_.fanout_count(tip);
     for (; lead != end; ++lead)
@@ -638,6 +838,11 @@ class SeedDfs {
   std::vector<std::uint64_t>* lead_counts_;
   ImplicationEngine engine_;
   LearnedStats learned_;
+
+  // Subtree-replay cache (null on ineligible runs, which then allocate
+  // and look up nothing).
+  std::unique_ptr<SubtreeMemo> memo_;
+  MemoStats memo_stats_;
 
   std::vector<LeadId> segment_;
   SeedOutcome outcome_;

@@ -247,6 +247,11 @@ ClassifyResult classify_paths_parallel(const Circuit& circuit,
     for (const WorkerState& state : workers)
       if (state.dfs) result.learned->merge(state.dfs->learned_stats());
   }
+  if (internal::replay_eligible(options, compiled)) {
+    result.memo = MemoStats{};
+    for (const WorkerState& state : workers)
+      if (state.dfs) result.memo->merge(*state.dfs->memo_stats());
+  }
 
   // The phase-1 expansion runs on the calling thread; its work and
   // steal-free task count are charged to worker slot 0 so the

@@ -87,6 +87,16 @@ JsonValue classify_result_json(const ClassifyResult& result) {
     learned.set("dropped", JsonValue::number(result.learned->dropped));
     out.set("learned", std::move(learned));
   }
+  // Optional, additive (no schema bump): present only when the run was
+  // eligible for the subtree-replay cache.  Parallel counts depend on
+  // the schedule, like "workers".
+  if (result.memo.has_value()) {
+    JsonValue memo = JsonValue::object();
+    memo.set("lookups", JsonValue::number(result.memo->lookups));
+    memo.set("hits", JsonValue::number(result.memo->hits));
+    memo.set("replayed_work", JsonValue::number(result.memo->replayed_work));
+    out.set("memo", std::move(memo));
+  }
   if (!result.worker_stats.empty()) {
     JsonValue workers = JsonValue::array();
     for (const ClassifyWorkerStats& stats : result.worker_stats) {
@@ -248,6 +258,11 @@ void record_classify_metrics(const ClassifyResult& result,
     registry.add_counter("learned.assignments", result.learned->assignments);
     registry.add_counter("learned.dropped", result.learned->dropped);
   }
+  if (result.memo.has_value()) {
+    registry.add_counter("memo.lookups", result.memo->lookups);
+    registry.add_counter("memo.hits", result.memo->hits);
+    registry.add_counter("memo.replayed_work", result.memo->replayed_work);
+  }
   registry.add_timer("classify.wall", result.wall_seconds);
   for (const ClassifyWorkerStats& stats : result.worker_stats) {
     registry.add_counter("classify.worker_seeds", stats.seeds);
@@ -306,7 +321,7 @@ void validate_abort_reason(const JsonValue& object, const char* context,
 }
 
 /// A required counter key of an optional report block (classify.learned,
-/// eco, eco.recovery, serve.cone_cache): present and a number.
+/// classify.memo, eco, eco.recovery, serve.cone_cache): present and a number.
 void require_counter(const JsonValue& object, const char* owner,
                      const char* key, std::vector<std::string>& problems) {
   const JsonValue* value = object.find(key);
@@ -350,6 +365,16 @@ void validate_classify_payload(const JsonValue& report,
     } else {
       for (const char* key : {"assignments", "dropped"})
         require_counter(*learned, "classify.learned", key, problems);
+    }
+  }
+  // Optional "memo" object (subtree-replay cache counters).
+  const JsonValue* memo = classify->find("memo");
+  if (memo != nullptr) {
+    if (!memo->is_object()) {
+      problems.push_back("\"classify.memo\" is not an object");
+    } else {
+      for (const char* key : {"lookups", "hits", "replayed_work"})
+        require_counter(*memo, "classify.memo", key, problems);
     }
   }
 }

@@ -61,6 +61,10 @@ namespace rd {
 /// emit optional "closure" objects in classify, eco and serve payloads;
 /// they are no longer produced, and a report still carrying one stays
 /// valid (unknown keys are ignored), so this needs no bump either.
+/// Further v2 additions (no bump): an optional "memo" object inside
+/// classify payloads ({"lookups", "hits", "replayed_work"}), present
+/// only when the run was eligible for the subtree-replay cache; its
+/// parallel counts are schedule-dependent, like "workers".
 inline constexpr std::uint64_t kRunReportSchemaVersion = 2;
 
 /// The shared envelope: {"schema_version": N, "kind": kind}.

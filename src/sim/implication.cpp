@@ -55,6 +55,7 @@ void ImplicationEngine::rollback(std::size_t mark) {
     const GateId id = static_cast<GateId>(entry);
     const Value3 value = unpack_value(entry);
     states_[id].value_half = 0;
+    if (key_enabled_) toggle_key(entry);
     // Roll the sinks' fanin tallies back.  Their counter epochs are
     // necessarily current: set_value stamped them when `id` was set.
     const GateWord* sink = compiled_->fanout_sink_begin(id);
@@ -65,10 +66,36 @@ void ImplicationEngine::rollback(std::size_t mark) {
   }
 }
 
+namespace {
+
+// Output k of the splitmix64 sequence seeded with 0.
+std::uint64_t splitmix64_at(std::uint64_t k) {
+  std::uint64_t z = k * 0x9e3779b97f4a7c15ull;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+}  // namespace
+
+void ImplicationEngine::enable_key() {
+  if (key_enabled_) return;
+  key_enabled_ = true;
+  // Fixed words, the same for every engine and run: (gate g, value v)
+  // takes outputs 4g + 2v + 1 and 4g + 2v + 2 of splitmix64, which are
+  // pairwise distinct because splitmix64 is a bijection.
+  key_words_.resize(2 * states_.size());
+  for (std::uint64_t i = 0; i < key_words_.size(); ++i)
+    key_words_[i] =
+        StateKey{splitmix64_at(2 * i + 1), splitmix64_at(2 * i + 2)};
+  for (std::size_t i = 0; i < trail_size_; ++i) toggle_key(trail_[i]);
+}
+
 void ImplicationEngine::reset() {
   trail_size_ = 0;
   queue_head_ = 0;
   queue_tail_ = 0;
+  key_ = StateKey{};
   if (epoch_ == std::numeric_limits<std::uint32_t>::max()) {
     // Epoch wrap (once per ~4e9 resets): fall back to the O(V) wipe so
     // stale stamps from the previous cycle can never alias.
@@ -86,7 +113,9 @@ void ImplicationEngine::reset() {
 __attribute__((always_inline)) inline void ImplicationEngine::set_value_inline(
     GateId id, Value3 value) {
   states_[id].value_half = pack_value(epoch_, value);
-  trail_[trail_size_++] = pack_value(id, value);
+  const std::uint64_t entry = pack_value(id, value);
+  trail_[trail_size_++] = entry;
+  if (key_enabled_) toggle_key(entry);
   GateWord* const queue = queue_;
   GateState* const states = states_.data();
   const std::uint32_t epoch = epoch_;

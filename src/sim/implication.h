@@ -81,6 +81,17 @@ struct ImplicationStats {
   bool operator==(const ImplicationStats&) const = default;
 };
 
+/// 128-bit Zobrist key of an engine's current value set: the XOR of
+/// one fixed pseudo-random word pair per assigned (gate, value).  Two
+/// engines over the same circuit holding the same value set have the
+/// same key, whatever order the values were assigned in.
+struct StateKey {
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+
+  bool operator==(const StateKey&) const = default;
+};
+
 class ImplicationEngine {
  public:
   /// Runs over a caller-owned CompiledCircuit (shared read-only across
@@ -156,6 +167,20 @@ class ImplicationEngine {
 
   /// Number of gates whose value is currently known (for diagnostics).
   std::size_t num_assigned() const { return trail_size_; }
+
+  /// Zobrist key of the current value set, maintained incrementally by
+  /// every assignment and undo once enable_key() has been called (zero
+  /// before); zero after reset().  Everything the engine derives next is
+  /// a function of the value set, which is what lets the classifier
+  /// replay a subtree it has already explored from the same state
+  /// (core/classify_dfs.h, SubtreeMemo).
+  const StateKey& key() const { return key_; }
+
+  /// Starts maintaining key(), folding in the values already held.
+  /// Opt-in: it builds a 32-byte-per-gate word table, and the extra XOR
+  /// per assignment and per undo is wasted on engines that never read
+  /// the key.
+  void enable_key();
 
   /// Cumulative event counters since construction (undo does not roll
   /// them back — they measure work done, not state held).
@@ -238,6 +263,15 @@ class ImplicationEngine {
            (static_cast<std::uint64_t>(value == ctrl) << 48);
   }
 
+  /// Toggles the Zobrist words of one packed trail entry (gate id plus
+  /// value, see pack_value) in key_.
+  void toggle_key(std::uint64_t entry) {
+    const StateKey& word =
+        key_words_[2 * static_cast<std::uint32_t>(entry) + (entry >> 32)];
+    key_.lo ^= word.lo;
+    key_.hi ^= word.hi;
+  }
+
   std::unique_ptr<CompiledCircuit> owned_;  // only for the Circuit ctor
   const CompiledCircuit* compiled_;
   bool backward_implications_;
@@ -269,6 +303,11 @@ class ImplicationEngine {
   std::size_t queue_head_ = 0;
   std::size_t queue_tail_ = 0;
   ImplicationStats stats_;
+  // Zobrist state: the words of (gate g, value v) at 2g + v, empty
+  // until enable_key().
+  bool key_enabled_ = false;
+  std::vector<StateKey> key_words_;
+  StateKey key_;
 };
 
 }  // namespace rd

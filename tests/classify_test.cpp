@@ -270,5 +270,62 @@ TEST(LearnedTier, DropsProvablyUnsatisfiableSurvivor) {
   }
 }
 
+// The subtree-replay cache (DESIGN.md §14): a Heuristic 1 run on the
+// c432 stand-in revisits subtrees from equal engine states and replays
+// them — with the same counters as the reference engine — while runs
+// that record per-path side effects (keys, lead tallies, learned
+// probes) never touch a cache at all.
+TEST(ReplayCache, HeuristicOneRunOnC432Replays) {
+  const Circuit circuit = make_benchmark("c432");
+  const InputSort sort = heuristic1_sort(circuit);
+  ClassifyOptions options;
+  options.criterion = Criterion::kInputSort;
+  options.sort = &sort;
+  const ClassifyResult replayed = classify_paths_serial(circuit, options);
+  ASSERT_TRUE(replayed.memo.has_value());
+  EXPECT_GT(replayed.memo->hits, 0u);
+  EXPECT_LE(replayed.memo->hits, replayed.memo->lookups);
+  EXPECT_GT(replayed.memo->replayed_work, 0u);
+  EXPECT_LT(replayed.memo->replayed_work, replayed.work);
+
+  const ClassifyResult reference = classify_paths_reference(circuit, options);
+  EXPECT_EQ(replayed.kept_paths, reference.kept_paths);
+  EXPECT_EQ(replayed.work, reference.work);
+  EXPECT_EQ(replayed.implication, reference.implication);
+  EXPECT_FALSE(reference.memo.has_value());
+
+  // Serial counts are a function of the run: a rerun replays the same.
+  EXPECT_EQ(classify_paths_serial(circuit, options).memo, replayed.memo);
+  // The parallel engine's workers keep their own tables.
+  options.num_threads = 2;
+  const ClassifyResult parallel = classify_paths_parallel(circuit, options);
+  ASSERT_TRUE(parallel.memo.has_value());
+  EXPECT_EQ(parallel.work, reference.work);
+  EXPECT_EQ(parallel.implication, reference.implication);
+}
+
+TEST(ReplayCache, RunsWithPerPathSideEffectsUseNoCache) {
+  const Circuit circuit = make_benchmark("c432");
+  const InputSort sort = heuristic1_sort(circuit);
+  ClassifyOptions base;
+  base.criterion = Criterion::kInputSort;
+  base.sort = &sort;
+  ClassifyOptions keys = base;
+  keys.collect_paths_limit = 1;
+  ClassifyOptions lead_counts = base;
+  lead_counts.collect_lead_counts = true;
+  ClassifyOptions learned = base;
+  learned.implications = ImplicationTier::kLearned;
+  learned.learn_budget = 1;
+  for (const ClassifyOptions& options : {keys, lead_counts, learned}) {
+    for (const std::size_t threads : {1u, 2u}) {
+      ClassifyOptions run = options;
+      run.num_threads = threads;
+      EXPECT_FALSE(classify_paths(circuit, run).memo.has_value())
+          << "threads " << threads;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rd

@@ -3,7 +3,8 @@
 //   * CompiledCircuit — the CSR adjacency, predecoded semantics,
 //     packed GateWords and static side-input tables must reproduce the
 //     analysis Circuit exactly;
-//   * ImplicationEngine — epoch-stamped reset semantics, and
+//   * ImplicationEngine — epoch-stamped reset semantics, the
+//     value-set key's rollback/reset/order invariants, and
 //     bit-identical values + event counters against the frozen
 //     pre-compilation engine (sim/implication_reference.h) under
 //     randomized assign/undo driving: exhaustive ternary truth tables,
@@ -229,6 +230,80 @@ TEST(EpochResetTest, StaleStampsNeverLeakAcrossEpochs) {
     }
     ASSERT_EQ(values, first_values) << "epoch " << epoch;
     ASSERT_EQ(delta, first_delta) << "epoch " << epoch;
+  }
+}
+
+// ------------------------------------------------ value-set key
+
+// The Zobrist key (ImplicationEngine::key) must be a function of the
+// value set alone: restored exactly by rollback, zero after reset, and
+// blind to the order the values were assigned in.
+TEST(StateKeyTest, RollbackRestoresTheKeyAtEveryMark) {
+  const Circuit circuit = iscas_like(2);
+  const CompiledCircuit compiled(circuit);
+  ImplicationEngine engine(compiled);
+  engine.enable_key();
+  EXPECT_EQ(engine.key(), StateKey{});
+  Rng rng(7);
+  for (int round = 0; round < 50; ++round) {
+    std::vector<std::pair<std::size_t, StateKey>> marks;
+    for (int i = 0; i < 8; ++i) {
+      marks.emplace_back(engine.mark(), engine.key());
+      const GateId gate =
+          static_cast<GateId>(rng.next_below(circuit.num_gates()));
+      if (!engine.assign(gate,
+                         rng.next_bool(0.5) ? Value3::kOne : Value3::kZero))
+        break;
+    }
+    if (engine.mark() > 0) EXPECT_NE(engine.key(), StateKey{});
+    while (!marks.empty()) {
+      engine.rollback(marks.back().first);
+      ASSERT_EQ(engine.key(), marks.back().second) << "round " << round;
+      marks.pop_back();
+    }
+    ASSERT_TRUE(engine.assign(circuit.inputs()[0], Value3::kOne));
+    engine.reset();
+    ASSERT_EQ(engine.key(), StateKey{}) << "round " << round;
+  }
+}
+
+TEST(StateKeyTest, AssignmentOrderDoesNotChangeTheKey) {
+  // Local implications reach a unique fixpoint, so assigning the same
+  // conflict-free primary-input literals in opposite orders yields the
+  // same value set — and must yield the same key, also when the key is
+  // enabled on an engine already holding values.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const Circuit circuit = iscas_like(seed);
+    const CompiledCircuit compiled(circuit);
+    Rng rng(seed * 31);
+    std::vector<std::pair<GateId, Value3>> literals;
+    for (const GateId input : circuit.inputs())
+      if (rng.next_bool(0.6))
+        literals.emplace_back(input, rng.next_bool(0.5) ? Value3::kOne
+                                                         : Value3::kZero);
+    ImplicationEngine forward(compiled);
+    ImplicationEngine backward(compiled);
+    forward.enable_key();
+    for (const auto& [gate, value] : literals)
+      ASSERT_TRUE(forward.assign(gate, value));
+    for (auto it = literals.rbegin(); it != literals.rend(); ++it)
+      ASSERT_TRUE(backward.assign(it->first, it->second));
+    backward.enable_key();
+    for (GateId id = 0; id < circuit.num_gates(); ++id)
+      ASSERT_EQ(forward.value(id), backward.value(id)) << "seed " << seed;
+    EXPECT_EQ(forward.key(), backward.key()) << "seed " << seed;
+
+    // A different value set gets a different key.
+    const std::size_t mark = forward.mark();
+    for (GateId id = 0; id < circuit.num_gates(); ++id) {
+      if (is_known(forward.value(id))) continue;
+      const StateKey before = forward.key();
+      if (forward.assign(id, Value3::kOne)) {
+        EXPECT_NE(forward.key(), before) << "seed " << seed;
+      }
+      break;
+    }
+    forward.rollback(mark);
   }
 }
 

@@ -319,8 +319,9 @@ Circuit invariance_circuit(int selector) {
 // compiled serial engine and the parallel engine must agree on every
 // deterministic field, with the kept-key collection truncated at the
 // cap (collect_paths_limit) — the parallel merge must pick exactly the
-// reference's first `cap` keys.  The suite and instantiation names
-// predate the removal of the lane engine (DESIGN.md "Removed
+// reference's first `cap` keys.  Cap 0 collects nothing and is the
+// input the subtree-replay cache runs on.  The suite and instantiation
+// names predate the removal of the lane engine (DESIGN.md "Removed
 // accelerators", whose lane widths the third axis used to sweep); they
 // are kept so the test ids stay stable.
 class BitparParallelInvariance
@@ -338,7 +339,9 @@ TEST_P(BitparParallelInvariance, AllEnginesAgreeBitForBit) {
     ClassifyOptions options;
     options.criterion = criterion;
     options.sort = criterion == Criterion::kInputSort ? &sort : nullptr;
-    options.collect_lead_counts = true;
+    // Cap 0 with lead counts off is the replay-eligible input: the
+    // subtree cache must reproduce the reference's counters exactly.
+    options.collect_lead_counts = cap != 0;
     options.collect_paths_limit = cap;
 
     // The frozen reference fixes the contract; the compiled serial and
@@ -350,6 +353,7 @@ TEST_P(BitparParallelInvariance, AllEnginesAgreeBitForBit) {
     const ClassifyResult serial = classify_paths_serial(circuit, options);
     ASSERT_TRUE(all_deterministic_fields_equal(reference, serial))
         << "criterion " << static_cast<int>(criterion) << " cap " << cap;
+    ASSERT_EQ(serial.memo.has_value(), cap == 0);
     options.num_threads = threads;
     const ClassifyResult parallel =
         classify_paths_parallel(circuit, options);
@@ -423,6 +427,15 @@ INSTANTIATE_TEST_SUITE_P(
                        // seeds' subtrees; the larger caps cut deeper or
                        // collect every kept path.
                        ::testing::Values(1u, 7u, 64u, 128u, 320u, 512u)));
+
+// The same three checks on the replay-eligible input (no keys, no lead
+// counts), which the subtree cache serves.  A separate instantiation
+// keeps the ids above stable.
+INSTANTIATE_TEST_SUITE_P(
+    ReplayEligible, BitparParallelInvariance,
+    ::testing::Combine(::testing::Values(0, 1, 2, 3, 4),
+                       ::testing::Values(1u, 2u, 4u),
+                       ::testing::Values(0u)));
 
 // ---- learned-tier invariance -----------------------------------------------
 

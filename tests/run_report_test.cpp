@@ -16,6 +16,7 @@
 #include "core/classify.h"
 #include "core/heuristics.h"
 #include "gen/examples.h"
+#include "gen/iscas_like.h"
 #include "io/run_report.h"
 #include "util/metrics.h"
 
@@ -39,6 +40,13 @@ RdIdentification classify_c17() {
   const Circuit circuit = c17();
   RdIdentification rd = identify_rd_heuristic1(circuit, ClassifyOptions{});
   return rd;
+}
+
+/// A run that used the subtree-replay cache: Heuristic 1 collects no
+/// keys or lead counts, and c432 is above the cache's size floor.
+RdIdentification classify_c432() {
+  const Circuit circuit = make_benchmark("c432");
+  return identify_rd_heuristic1(circuit, ClassifyOptions{});
 }
 
 // ---- golden schema --------------------------------------------------------
@@ -519,6 +527,82 @@ TEST(RunReportValidate, RejectsMalformedClosureBlock) {
   report.set("classify", classify);
   EXPECT_TRUE(has_problem(validate_run_report(report),
                           "\"classify.learned.assignments\" is not a number"));
+}
+
+// The optional subtree-replay block: a run that used the cache carries
+// its counters in the report and the metrics registry; one that did
+// not carries neither.
+TEST(RunReport, MemoBlockConformsToSchemaAndFeedsMetrics) {
+  RdIdentification rd = classify_c432();
+  ASSERT_TRUE(rd.classify.memo.has_value());
+  const JsonValue real = round_trip(classify_run_report("c432", "1", rd));
+  EXPECT_TRUE(validate_run_report(real).empty());
+  const JsonValue* real_memo = real.find("classify")->find("memo");
+  ASSERT_NE(real_memo, nullptr);
+  EXPECT_EQ(real_memo->find("hits")->as_uint64(), rd.classify.memo->hits);
+  EXPECT_GT(real_memo->find("hits")->as_uint64(), 0u);
+
+  rd.classify.memo = MemoStats{40, 9, 123};
+
+  MetricsRegistry metrics;
+  record_classify_metrics(rd.classify, metrics);
+  const JsonValue report =
+      round_trip(classify_run_report("c17", "1", rd, &metrics));
+  EXPECT_TRUE(validate_run_report(report).empty());
+  const JsonValue* memo = report.find("classify")->find("memo");
+  ASSERT_NE(memo, nullptr);
+  EXPECT_EQ(memo->find("lookups")->as_uint64(), 40u);
+  EXPECT_EQ(memo->find("hits")->as_uint64(), 9u);
+  EXPECT_EQ(memo->find("replayed_work")->as_uint64(), 123u);
+  const JsonValue* counters = report.find("metrics")->find("counters");
+  ASSERT_NE(counters, nullptr);
+  EXPECT_EQ(counters->find("memo.lookups")->as_uint64(), 40u);
+  EXPECT_EQ(counters->find("memo.hits")->as_uint64(), 9u);
+  EXPECT_EQ(counters->find("memo.replayed_work")->as_uint64(), 123u);
+
+  // c17 is below the cache's size floor, so its run used no cache.
+  const RdIdentification small = classify_c17();
+  ASSERT_FALSE(small.classify.memo.has_value());
+  MetricsRegistry plain_metrics;
+  record_classify_metrics(small.classify, plain_metrics);
+  const JsonValue plain =
+      round_trip(classify_run_report("c17", "1", small, &plain_metrics));
+  EXPECT_TRUE(validate_run_report(plain).empty());
+  EXPECT_EQ(plain.find("classify")->find("memo"), nullptr);
+  EXPECT_EQ(plain.find("metrics")->find("counters")->find("memo.hits"),
+            nullptr);
+}
+
+TEST(RunReportValidate, RejectsMalformedMemoBlock) {
+  RdIdentification rd = classify_c17();
+  rd.classify.memo = MemoStats{4, 1, 2};
+  const JsonValue pristine = round_trip(classify_run_report("c17", "1", rd));
+  ASSERT_TRUE(validate_run_report(pristine).empty());
+  ASSERT_NE(pristine.find("classify")->find("memo"), nullptr);
+  JsonValue report = pristine;
+
+  JsonValue classify = *pristine.find("classify");
+  classify.set("memo", JsonValue::number(std::uint64_t{3}));
+  report.set("classify", classify);
+  EXPECT_TRUE(has_problem(validate_run_report(report),
+                          "\"classify.memo\" is not an object"));
+
+  classify = *pristine.find("classify");
+  JsonValue no_hits = JsonValue::object();
+  for (const auto& [name, value] : classify.find("memo")->members())
+    if (name != "hits") no_hits.set(name, value);
+  classify.set("memo", std::move(no_hits));
+  report.set("classify", classify);
+  EXPECT_TRUE(has_problem(validate_run_report(report),
+                          "missing key \"hits\" in classify.memo"));
+
+  classify = *pristine.find("classify");
+  JsonValue bad_count = *classify.find("memo");
+  bad_count.set("replayed_work", JsonValue::string("lots"));
+  classify.set("memo", std::move(bad_count));
+  report.set("classify", classify);
+  EXPECT_TRUE(has_problem(validate_run_report(report),
+                          "\"classify.memo.replayed_work\" is not a number"));
 }
 
 // ---- file output ----------------------------------------------------------
