@@ -199,6 +199,12 @@ Circuit load_circuit(const std::string& spec) {
   return read_bench_file(spec);
 }
 
+/// load_circuit, timed as `io.load` for the --stats-json metrics.
+Circuit load_circuit_timed(const std::string& spec) {
+  ScopedTimer timer(global_metrics(), "io.load");
+  return load_circuit(spec);
+}
+
 int cmd_stats(const std::string& spec) {
   const Circuit circuit = load_circuit(spec);
   std::fputs(stats_to_string(compute_stats(circuit)).c_str(), stdout);
@@ -290,7 +296,7 @@ int cmd_classify(const std::string& spec, int argc, char** argv) {
                  "--engine=resilient\n");
     return 2;
   }
-  const Circuit circuit = load_circuit(spec);
+  const Circuit circuit = load_circuit_timed(spec);
   ExecGuard guard(guard_flags.guard_options());
   guard_flags.arm(guard);
   base.guard = &guard;
@@ -417,7 +423,7 @@ int cmd_atpg(const std::string& spec, int argc, char** argv) {
       return 2;
     }
   }
-  const Circuit circuit = load_circuit(spec);
+  const Circuit circuit = load_circuit_timed(spec);
   ExecGuard guard(guard_flags.guard_options());
   guard_flags.arm(guard);
   ClassifyOptions options;

@@ -19,15 +19,15 @@
 namespace rd {
 
 /// Parses a circuit from bench-format text.  Throws std::runtime_error
-/// with a line number on malformed input.  The returned circuit is
-/// finalized.
-Circuit read_bench(std::istream& in, std::string circuit_name = {});
-
-/// Convenience overload for in-memory text (used heavily in tests).
+/// with a line number on malformed input, including text after a
+/// statement's closing ')' and a netlist without any OUTPUT.  The
+/// returned circuit is finalized.
 Circuit read_bench_string(const std::string& text,
                           std::string circuit_name = {});
 
-/// Reads a .bench file from disk.
+/// Reads a .bench file from disk; the circuit is named after the file.
+/// A path that cannot be opened or read (a directory, say) throws
+/// std::runtime_error.
 Circuit read_bench_file(const std::string& path);
 
 /// Serializes a finalized circuit to bench format.  BUF gates are written

@@ -70,10 +70,19 @@ void Circuit::finalize() {
   // already guarantees acyclicity, and gate ids are a topological order;
   // we still recompute a topo order explicitly for clarity and to catch
   // internal errors.
+  // Fanouts are counted first so every array below is sized exactly.
+  std::vector<std::uint32_t> fanout_count(gates_.size(), 0);
+  std::size_t num_leads = 0;
+  for (const Gate& gate : gates_) {
+    num_leads += gate.fanins.size();
+    for (GateId fanin : gate.fanins) ++fanout_count[fanin];
+  }
   leads_.clear();
-  for (auto& gate : gates_) {
-    gate.fanin_leads.clear();
-    gate.fanout_leads.clear();
+  leads_.reserve(num_leads);
+  for (GateId id = 0; id < gates_.size(); ++id) {
+    gates_[id].fanin_leads.clear();
+    gates_[id].fanout_leads.clear();
+    gates_[id].fanout_leads.reserve(fanout_count[id]);
   }
   for (GateId id = 0; id < gates_.size(); ++id) {
     Gate& gate = gates_[id];

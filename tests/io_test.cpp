@@ -2,9 +2,14 @@
 // round-trips, use-before-def handling and error reporting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "gen/examples.h"
+#include "gen/iscas_like.h"
 #include "io/bench_io.h"
 #include "io/pla_io.h"
 #include "io/verilog_io.h"
@@ -125,6 +130,14 @@ TEST(BenchIo, MalformedCorpusReportsLineAndDetail) {
        "NOT/BUFF takes exactly one fanin, got 2"},
       {"INPUT(a)\nx = BUFF()\nOUTPUT(x)\n", "bench line 2",
        "empty fanin name"},
+      // Text after a statement's closing ')' is never dropped silently.
+      {"INPUT(a)\ny = NOT(a) garbage here\nOUTPUT(y)\n", "bench line 2",
+       "unexpected text 'garbage here' after ')'"},
+      {"INPUT(a) b\nOUTPUT(a)\n", "bench line 1",
+       "unexpected text 'b' after ')'"},
+      // A netlist must observe something; the line is the last one.
+      {"INPUT(a)\ny = NOT(a)\n", "bench line 2", "no OUTPUT declared"},
+      {"", "bench line 1", "no OUTPUT declared"},
   };
   for (const Case& entry : corpus) {
     try {
@@ -146,6 +159,11 @@ TEST(BenchIo, CommentsAndBlanksIgnored) {
       "# header\n\nINPUT(a)\n  # indented comment\nOUTPUT(a)\n");
   EXPECT_EQ(circuit.inputs().size(), 1u);
   EXPECT_EQ(circuit.outputs().size(), 1u);
+  // Blanks and a comment may also follow a statement's ')'.
+  const Circuit trailing = read_bench_string(
+      "INPUT(a)  # the input\nOUTPUT(y)\t\ny = NOT(a) # inverter\n");
+  EXPECT_EQ(trailing.num_logic_gates(), 1u);
+  EXPECT_EQ(trailing.outputs().size(), 1u);
 }
 
 constexpr const char* kSmallPla = R"(# two functions
@@ -262,6 +280,18 @@ TEST(BenchIo, MissingFileThrows) {
                std::runtime_error);
 }
 
+TEST(BenchIo, DirectoryFailsLikeAMissingFile) {
+  // A directory opens like a file; it must not load as an empty circuit.
+  try {
+    read_bench_file("data");
+    FAIL() << "expected a read failure";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("cannot read bench file: data"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(BenchIo, FileRoundTripThroughDisk) {
   const Circuit original = paper_example_circuit();
   const std::string path = ::testing::TempDir() + "/rt.bench";
@@ -290,6 +320,123 @@ TEST(BenchIo, DegenerateCircuits) {
   const Circuit dangling =
       read_bench_string("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NOT(a)\n");
   EXPECT_EQ(dangling.inputs().size(), 2u);
+}
+
+// Single-edit mutants of real netlists: delete, duplicate or swap one
+// byte or one line.  Each must either throw a std::runtime_error or
+// load a circuit whose netlist survives a write/read round trip.
+// The reader slices views out of the text, so an off-by-one at a line
+// end, a ')' or a ',' shows up here (and under AddressSanitizer).
+std::vector<std::string> single_edit_mutants(const std::string& text,
+                                             std::size_t byte_stride) {
+  std::vector<std::string> mutants;
+  for (std::size_t i = 0; i < text.size(); i += byte_stride) {
+    std::string deleted = text;
+    deleted.erase(i, 1);
+    mutants.push_back(std::move(deleted));
+    std::string duplicated = text;
+    duplicated.insert(i, 1, text[i]);
+    mutants.push_back(std::move(duplicated));
+    if (i + 1 < text.size() && text[i] != text[i + 1]) {
+      std::string swapped = text;
+      std::swap(swapped[i], swapped[i + 1]);
+      mutants.push_back(std::move(swapped));
+    }
+  }
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line + "\n");
+  auto join = [](const std::vector<std::string>& pieces) {
+    std::string joined;
+    for (const std::string& piece : pieces) joined += piece;
+    return joined;
+  };
+  for (std::size_t j = 0; j < lines.size(); ++j) {
+    std::vector<std::string> edited = lines;
+    edited.erase(edited.begin() + static_cast<std::ptrdiff_t>(j));
+    mutants.push_back(join(edited));
+    edited = lines;
+    edited.insert(edited.begin() + static_cast<std::ptrdiff_t>(j), lines[j]);
+    mutants.push_back(join(edited));
+    if (j + 1 < lines.size()) {
+      edited = lines;
+      std::swap(edited[j], edited[j + 1]);
+      mutants.push_back(join(edited));
+    }
+  }
+  return mutants;
+}
+
+/// The netlist as a text that does not depend on gate ids: the PIs
+/// and POs in order, then every logic gate with its fanins, by name.
+std::string netlist_signature(const Circuit& circuit) {
+  std::string signature;
+  for (GateId id : circuit.inputs())
+    signature += "INPUT " + circuit.gate(id).name + "\n";
+  for (GateId id : circuit.outputs())
+    signature += "OUTPUT " + circuit.gate(id).name + " <- " +
+                 circuit.gate(circuit.gate(id).fanins.front()).name + "\n";
+  std::vector<std::string> gates;
+  for (GateId id = 0; id < circuit.num_gates(); ++id) {
+    const Gate& gate = circuit.gate(id);
+    if (gate.type == GateType::kInput || gate.type == GateType::kOutput)
+      continue;
+    std::string line = gate.name + " = " +
+                       std::string(gate_type_name(gate.type)) + "(";
+    for (std::size_t pin = 0; pin < gate.fanins.size(); ++pin)
+      line += (pin == 0 ? "" : ", ") + circuit.gate(gate.fanins[pin]).name;
+    gates.push_back(line + ")\n");
+  }
+  std::sort(gates.begin(), gates.end());
+  for (const std::string& line : gates) signature += line;
+  return signature;
+}
+
+std::string read_text_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(BenchIo, SingleEditMutantsLoadOrThrow) {
+  struct Source {
+    std::string name;
+    std::string text;
+    std::size_t byte_stride;  // every byte of the small files
+  };
+  const Source sources[] = {
+      {"c17", read_text_file("data/c17.bench"), 1},
+      {"paper_example", read_text_file("data/paper_example.bench"), 1},
+      {"c432", write_bench_string(make_benchmark("c432")), 3},
+  };
+  for (const Source& source : sources) {
+    ASSERT_FALSE(source.text.empty()) << source.name;
+    ASSERT_NO_THROW(read_bench_string(source.text, source.name));
+    std::size_t loaded = 0;
+    std::size_t rejected = 0;
+    for (const std::string& mutant :
+         single_edit_mutants(source.text, source.byte_stride)) {
+      Circuit circuit;
+      try {
+        circuit = read_bench_string(mutant, source.name);
+      } catch (const std::runtime_error&) {
+        ++rejected;
+        continue;
+      }
+      ++loaded;
+      // The writer emits gates in topological order, so ids may move;
+      // names, types, pins and the PI/PO order may not.
+      const Circuit reread =
+          read_bench_string(write_bench_string(circuit), source.name);
+      EXPECT_EQ(netlist_signature(reread), netlist_signature(circuit))
+          << "mutant of " << source.name << ":\n"
+          << mutant;
+    }
+    // Both outcomes occur, so the corpus exercises both paths.
+    EXPECT_GT(loaded, 0u) << source.name;
+    EXPECT_GT(rejected, 0u) << source.name;
+  }
 }
 
 TEST(PlaIo, ReadsShippedDataFile) {

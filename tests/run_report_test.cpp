@@ -17,6 +17,7 @@
 #include "core/heuristics.h"
 #include "gen/examples.h"
 #include "gen/iscas_like.h"
+#include "io/bench_io.h"
 #include "io/run_report.h"
 #include "util/metrics.h"
 
@@ -191,6 +192,28 @@ TEST(RunReport, RecordClassifyMetricsFeedsRegistry) {
   aborted.completed = false;
   record_classify_metrics(aborted, registry);
   EXPECT_EQ(registry.snapshot().counters.at("classify.aborted"), 1u);
+}
+
+TEST(RunReport, LoadTimerReachesMetricsTimers) {
+  // rdfast_cli times its netlist load as io.load on the registry the
+  // report is built from; the timer needs no schema change.
+  MetricsRegistry registry;
+  Circuit circuit;
+  {
+    ScopedTimer timer(registry, "io.load");
+    circuit = read_bench_file("data/c17.bench");
+  }
+  const RdIdentification rd =
+      identify_rd_heuristic1(circuit, ClassifyOptions{});
+  record_classify_metrics(rd.classify, registry);
+  const JsonValue back =
+      round_trip(classify_run_report(circuit.name(), "1", rd, &registry));
+  EXPECT_TRUE(validate_run_report(back).empty());
+  const JsonValue* load =
+      back.find("metrics")->find("timers")->find("io.load");
+  ASSERT_NE(load, nullptr);
+  EXPECT_EQ(load->find("count")->as_uint64(), 1u);
+  EXPECT_GE(load->find("seconds")->as_double(), 0.0);
 }
 
 // ---- validator rejections -------------------------------------------------

@@ -283,6 +283,41 @@ TEST(Session, PingEchoesIdAndParseErrorsAreTyped) {
   EXPECT_EQ(huge_id.find("error")->find("code")->as_string(), "bad_request");
 }
 
+TEST(Session, NetlistsTheReaderRejectsAreBadRequests) {
+  // Trailing text after ')' and a netlist without OUTPUT are reader
+  // errors; through every op that parses client text they come back
+  // as a typed bad_request naming the bench line.
+  struct Case {
+    const char* bench;
+    const char* detail;
+  };
+  const Case cases[] = {
+      {R"(INPUT(a)\ny = NOT(a) junk\nOUTPUT(y)\n)",
+       "bench line 2: unexpected text 'junk' after ')'"},
+      {R"(INPUT(a)\ny = NOT(a)\n)", "bench line 2: no OUTPUT declared"},
+      {"", "bench line 1: no OUTPUT declared"},
+  };
+  const char* const ops[] = {R"("op": "classify")",
+                             R"("op": "classify", "incremental": true)",
+                             R"("op": "atpg")"};
+  Session session{SessionConfig{}};
+  for (const Case& entry : cases) {
+    for (const char* op : ops) {
+      const std::string request = std::string("{") + op +
+                                  R"(, "circuit": {"bench": ")" +
+                                  entry.bench + "\"}}";
+      const JsonValue response = handle(session, request);
+      ASSERT_EQ(response.find("kind")->as_string(), "serve_error") << request;
+      const JsonValue* error = response.find("error");
+      EXPECT_EQ(error->find("code")->as_string(), "bad_request") << request;
+      EXPECT_NE(error->find("message")->as_string().find(entry.detail),
+                std::string::npos)
+          << error->find("message")->as_string();
+      EXPECT_TRUE(validate_run_report(response).empty()) << request;
+    }
+  }
+}
+
 TEST(Session, CachedAndOneShotClassifyAreBitIdentical) {
   const std::string request =
       "{\"op\": \"classify\", \"id\": 1, \"circuit\": "
