@@ -41,50 +41,6 @@ double median_wall_seconds(int runs, const Body& body) {
   return samples[samples.size() / 2];
 }
 
-/// Comparative variant for sub-millisecond bodies: medians of `runs`
-/// *interleaved* samples of two bodies.  Two error sources dominate a
-/// naive A-block-then-B-block comparison of short workloads: timer and
-/// scheduler granularity (a 1 ms body loses a whole sample to one
-/// preemption) and machine-speed drift between the blocks (frequency
-/// scaling, background load) which biases the A/B ratio.  Each sample
-/// here loops its body often enough to span ~`min_window_seconds`
-/// (calibrated once from the warmup run) and reports the mean per
-/// iteration, and A/B samples alternate so a slow period taxes both
-/// sides evenly.
-template <class BodyA, class BodyB>
-std::pair<double, double> median_wall_seconds_interleaved(
-    int runs, double min_window_seconds, const BodyA& body_a,
-    const BodyB& body_b) {
-  const auto calibrate = [&](const auto& body) {
-    Stopwatch watch;
-    body();  // warmup doubles as the calibration probe
-    const double once = watch.elapsed_seconds();
-    if (once <= 0) return 1;
-    return static_cast<int>(min_window_seconds / once) + 1;
-  };
-  const int iters_a = calibrate(body_a);
-  const int iters_b = calibrate(body_b);
-  std::vector<double> samples_a;
-  std::vector<double> samples_b;
-  samples_a.reserve(static_cast<std::size_t>(runs));
-  samples_b.reserve(static_cast<std::size_t>(runs));
-  for (int run = 0; run < runs; ++run) {
-    {
-      Stopwatch watch;
-      for (int i = 0; i < iters_a; ++i) body_a();
-      samples_a.push_back(watch.elapsed_seconds() / iters_a);
-    }
-    {
-      Stopwatch watch;
-      for (int i = 0; i < iters_b; ++i) body_b();
-      samples_b.push_back(watch.elapsed_seconds() / iters_b);
-    }
-  }
-  std::sort(samples_a.begin(), samples_a.end());
-  std::sort(samples_b.begin(), samples_b.end());
-  return {samples_a[samples_a.size() / 2], samples_b[samples_b.size() / 2]};
-}
-
 /// Wall-time floor under which a serial/parallel wall-clock ratio is
 /// reported as "n/a" (JSON null) instead of a number: below ~1ms the
 /// measurement is dominated by pool spin-up and timer granularity, and

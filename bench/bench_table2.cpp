@@ -7,15 +7,76 @@
 // Expected shape: Heu2 roughly 3x (or more) the cost of Heu1 — the
 // classifier runs three times instead of once (Algorithm 3) — and both
 // orders of magnitude below the leaf-dag baseline (Table III).
+//
+// The full run's JSON report is the committed golden file of the exact
+// Table II gate (BENCH_table2.json, EXPERIMENTS.md): every non-timing
+// field, including each run's prerun_work and sort_digest, must match
+// it exactly.  The parallel Heu2 rerun must match the serial one on
+// every deterministic field, or the bench exits 1 without a report.
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench_common.h"
 #include "core/heuristics.h"
 #include "gen/iscas_like.h"
+#include "netlist/cone_signature.h"
 #include "paths/counting.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
+
+namespace {
+
+using namespace rd;
+
+/// Hex FNV-1a 64 over every gate's pin ranks (gates in id order, each
+/// rank as four little-endian bytes): a fingerprint of the whole sort.
+std::string sort_digest(const Circuit& circuit, const InputSort& sort) {
+  std::vector<std::uint8_t> bytes;
+  for (GateId id = 0; id < circuit.num_gates(); ++id) {
+    for (std::uint32_t pin = 0; pin < circuit.gate(id).fanins.size(); ++pin) {
+      const std::uint32_t rank = sort.rank(id, pin);
+      for (int shift = 0; shift < 32; shift += 8)
+        bytes.push_back(static_cast<std::uint8_t>(rank >> shift));
+    }
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(cone_signature(bytes)));
+  return hex;
+}
+
+JsonValue identification_json(const RdIdentification& rd,
+                              const std::string& digest) {
+  JsonValue out = classify_result_json(rd.classify);
+  out.set("prerun_work", JsonValue::number(rd.prerun_work));
+  out.set("sort_digest", JsonValue::string(digest));
+  return out;
+}
+
+/// Comma-separated names of the deterministic fields on which two runs
+/// differ; empty when they agree.
+std::string differing_fields(const RdIdentification& a,
+                             const std::string& a_digest,
+                             const RdIdentification& b,
+                             const std::string& b_digest) {
+  std::string names;
+  const auto check = [&](bool same, const char* name) {
+    if (same) return;
+    if (!names.empty()) names += ", ";
+    names += name;
+  };
+  check(a.classify.completed == b.classify.completed, "completed");
+  check(a.classify.kept_paths == b.classify.kept_paths, "kept_paths");
+  check(a.classify.work == b.classify.work, "work");
+  check(a.classify.implication == b.classify.implication, "implication");
+  check(a.prerun_work == b.prerun_work, "prerun_work");
+  check(a_digest == b_digest, "sort_digest");
+  return names;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace rd;
@@ -39,6 +100,7 @@ int main(int argc, char** argv) {
 
   double ratio_sum = 0;
   int ratio_count = 0;
+  bool serial_parallel_split = false;
   for (const PaperTable2Row& paper : paper_table2()) {
     if (!options.selected(paper.circuit)) continue;
     const Circuit circuit = make_benchmark(paper.circuit);
@@ -68,11 +130,19 @@ int main(int argc, char** argv) {
     const RdIdentification heu2_par =
         identify_rd_heuristic2(circuit, parallel_base, &heu2_par_rng);
     const double heu2_par_seconds = heu2_par_watch.elapsed_seconds();
-    if (heu2_par.classify.kept_paths != heu2.classify.kept_paths)
+
+    const std::string heu1_digest = sort_digest(circuit, heu1.sort);
+    const std::string heu2_digest = sort_digest(circuit, heu2.sort);
+    const std::string heu2_par_digest = sort_digest(circuit, heu2_par.sort);
+    const std::string split =
+        differing_fields(heu2, heu2_digest, heu2_par, heu2_par_digest);
+    if (!split.empty()) {
       std::fprintf(stderr,
-                   "[table2] WARNING: %s parallel Heu2 kept count differs "
-                   "from serial\n",
-                   paper.circuit);
+                   "[table2] ERROR: %s parallel Heu2 differs from serial "
+                   "in: %s\n",
+                   paper.circuit, split.c_str());
+      serial_parallel_split = true;
+    }
 
     char ratio[32] = "-";
     if (heu1.classify.completed && heu2.classify.completed &&
@@ -104,9 +174,9 @@ int main(int argc, char** argv) {
       row.set("heu2_parallel_seconds", JsonValue::number(heu2_par_seconds));
       row.set("threads", JsonValue::number(
                              static_cast<std::uint64_t>(options.threads)));
-      row.set("heu1", classify_result_json(heu1.classify));
-      row.set("heu2", classify_result_json(heu2.classify));
-      row.set("heu2_parallel", classify_result_json(heu2_par.classify));
+      row.set("heu1", identification_json(heu1, heu1_digest));
+      row.set("heu2", identification_json(heu2, heu2_digest));
+      row.set("heu2_parallel", identification_json(heu2_par, heu2_par_digest));
       report.add_row(std::move(row));
     }
     std::fprintf(stderr,
@@ -138,6 +208,12 @@ int main(int argc, char** argv) {
         "average Heu2/Heu1 time ratio: %.1fx (paper reports a factor of 3 or\n"
         "more on most circuits: the classifier runs three times)\n",
         ratio_sum / ratio_count);
+  if (serial_parallel_split) {
+    std::fprintf(stderr,
+                 "[table2] FAILED: a thread count changed a deterministic "
+                 "field; no report written\n");
+    return 1;
+  }
   report.write();
   return 0;
 }

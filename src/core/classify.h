@@ -235,7 +235,7 @@ ClassifyResult classify_paths_parallel(const Circuit& circuit,
 
 /// Frozen pre-compilation serial classifier (core/classify_reference.cpp):
 /// the DFS exactly as it stood before the compiled execution layer
-/// (DESIGN.md §9).  Differential-test oracle and bench_micro baseline —
+/// (DESIGN.md §9).  Differential-test and perfbench verdict oracle —
 /// bit-identical deterministic fields to classify_paths_serial, only
 /// slower.  Not for production use.
 ClassifyResult classify_paths_reference(const Circuit& circuit,

@@ -119,11 +119,10 @@ inline const CompiledCircuit* resolve_compiled(
   }
   // Size-thresholded per-thread compile cache for the common
   // sort-free compile (every criterion except kInputSort shares one
-  // view).  On microsecond circuits the private per-run compile is
-  // comparable to the classification itself (bench_micro `example`
-  // and `c17` rows), and callers that classify the same Circuit
-  // repeatedly — benches, the CLI's validate double-run, tests — pay
-  // it every time.  Keyed by Circuit::build_id(), which is process-
+  // view).  On microsecond circuits (c17-sized) the private per-run
+  // compile is comparable to the classification itself, and callers
+  // that classify the same Circuit repeatedly — benches, the CLI's
+  // validate double-run, tests — pay it every time.  Keyed by Circuit::build_id(), which is process-
   // unique and dies with the circuit, so a stale slot can never be
   // hit; a finalized circuit is structurally immutable, so a hit is
   // bit-identical to a fresh compile and verdicts/stats are unchanged.
@@ -313,10 +312,9 @@ class SharedBudget {
 /// reproduces counts, work and stats but not the per-path side effects
 /// of its survivors — keys, lead tallies and learned probes — so runs
 /// that record any of them explore every subtree.  Circuits below
-/// kReplayMinLeads finish their whole DFS in microseconds, less than
-/// setting up the table and the key costs (bench_micro's example and
-/// c17 rows).  Decided once per run; the phase-1 frontier pass is
-/// excluded separately by SeedDfs.
+/// kReplayMinLeads (c17-sized) finish their whole DFS in microseconds,
+/// less than setting up the table and the key costs.  Decided once per
+/// run; the phase-1 frontier pass is excluded separately by SeedDfs.
 inline constexpr std::size_t kReplayMinLeads = 32;
 
 inline bool replay_eligible(const ClassifyOptions& options,

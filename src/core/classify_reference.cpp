@@ -6,7 +6,7 @@
 // It exists as an *oracle*: tests/compiled_test.cpp asserts that the
 // production engines reproduce this classifier bit for bit (kept
 // paths/keys, work counters, per-lead tallies, ImplicationStats), and
-// bench_micro measures the compiled engine's throughput against it.
+// perfbench checks every end-to-end verdict against it.
 // Do not optimize this file; change it only if the classification
 // semantics themselves change, together with the production engines.
 #include <stdexcept>

@@ -271,13 +271,12 @@ class CompiledCircuit {
   // are multiples of 8 bytes and align to it) in a second one, viewed
   // through the raw pointers below.  A per-table std::vector costs one
   // malloc each; the default classify path compiles privately per run,
-  // and on microsecond circuits that compile is allocation-bound
-  // (bench_micro `example` and `c17` rows), so the build makes exactly
-  // two heap allocations total.  The record arrays are created with
-  // per-element placement new into their store64_ slices (single-object
-  // form — the array form may prepend an unspecified cookie), which
-  // both starts their lifetimes and keeps the access strictly
-  // aliasing-clean; both types are trivially destructible, so the
+  // and on microsecond circuits (c17-sized) that compile is
+  // allocation-bound, so the build makes exactly two heap allocations
+  // total.  The record arrays are created with per-element placement
+  // new into their store64_ slices (single-object form — the array
+  // form may prepend an unspecified cookie), which both starts their
+  // lifetimes and keeps the access strictly aliasing-clean; both types are trivially destructible, so the
   // vector freeing the raw words is a complete teardown.
   std::vector<std::uint32_t> store32_;
   std::vector<std::uint64_t> store64_;

@@ -292,7 +292,7 @@ class ImplicationEngine {
   // an indexed load into the semantics table.
   // One backing allocation for both fixed-capacity buffers (the
   // classify path builds an engine per run; on microsecond circuits
-  // every ctor malloc shows in bench_micro's small-circuit rows):
+  // every ctor malloc is a visible share of the whole run):
   // trail_ = scratch_[0 .. num_gates), queue_ = the rest.  The raw
   // pointers stay valid across vector moves (the heap buffer
   // transfers wholesale).

@@ -1,12 +1,11 @@
 // Frozen pre-compilation implication engine — the PR-3-era trail
-// engine, kept verbatim as the differential oracle and the benchmark
-// baseline for the compiled hot path (sim/implication.h).
+// engine, kept verbatim as the differential oracle for the compiled
+// hot path (sim/implication.h).
 //
 // Do not optimize this class: its point is to preserve the exact event
 // stream (assignments, propagations, conflicts, backward derivations)
 // of the original engine so tests can assert that the compiled engine
-// is bit-identical, and bench_micro can report an honest before/after
-// throughput pair.  Semantics are documented in sim/implication.h.
+// is bit-identical.  Semantics are documented in sim/implication.h.
 #pragma once
 
 #include <cstddef>
