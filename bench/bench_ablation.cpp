@@ -8,6 +8,10 @@
 //       implication engine's backward reasoning disabled — the
 //       forward-only variant finds fewer contradictions, keeping more
 //       paths and showing what the "local implications" of [2] buy.
+//   (c) Local-search refinement of Heuristic 2's sort.
+//   (d) Approximation gap: the FS classifier's kept set against the
+//       exhaustive exact set on small circuits; exits 1 if a path the
+//       sweep sensitizes is not kept.
 #include <algorithm>
 #include <cstdio>
 #include <vector>
@@ -170,29 +174,27 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", refinement.to_string().c_str());
 
-  // Ablation (d): implication tiers.  The learned tier spends
-  // failed-literal probes to refute survivors, so its kept set sits
-  // between the exact FS set and the local-implication approximation.  On circuits small enough for the exhaustive
-  // reference, the containment exact ⊆ learned ⊆ local is checked as
-  // sets, not counts — a sound probe can only drop paths the exact
-  // sweep also drops.
+  // Ablation (d): the approximation gap of the FS classifier.  Local
+  // implications keep a superset of the exact FS set; on circuits
+  // small enough for the exhaustive reference the containment
+  // exact ⊆ local is checked as sets, not counts, and the gap is the
+  // number of kept paths the exact sweep excludes.
   std::printf(
-      "\nAblation (d): implication tiers on the FS classifier\n"
+      "\nAblation (d): approximation gap of the FS classifier\n"
       "(kept = |LP^sup|; exact = exhaustive vector sweep)\n\n");
-  TextTable tiers({"circuit", "exact", "kept (off)", "kept (learned)",
-                   "dropped", "sound"});
-  bool tier_violation = false;
+  TextTable gaps({"circuit", "exact", "kept (local)", "gap", "sound"});
+  bool containment_violation = false;
   {
-    struct TierCase {
+    struct GapCase {
       std::string name;
       Circuit circuit;
     };
-    std::vector<TierCase> cases;
+    std::vector<GapCase> cases;
     cases.push_back({"example", paper_example_circuit()});
     cases.push_back({"c17", c17()});
-    // The one case where the learned tier provably earns its keep:
-    // FS^sup over-keeps a path whose side constraints encode an
-    // unsatisfiable CNF the drain never refutes locally.
+    // The one known gap: FS^sup over-keeps a path whose side
+    // constraints encode an unsatisfiable CNF the drain never refutes
+    // locally.
     cases.push_back({"unsat-side", unsat_side_constraint_circuit()});
     if (!options.quick) {
       PlaProfile profile;
@@ -206,69 +208,50 @@ int main(int argc, char** argv) {
       cases.push_back({"pla-small",
                        synthesize_multilevel(make_pla_like(profile))});
     }
-    for (TierCase& item : cases) {
+    for (GapCase& item : cases) {
       if (!options.circuits.empty() && !options.selected(item.name)) continue;
-      ClassifyOptions tier_base = base;
-      tier_base.criterion = Criterion::kFunctionalSensitizable;
-      tier_base.collect_paths_limit = std::uint64_t{1} << 20;
+      ClassifyOptions local = base;
+      local.criterion = Criterion::kFunctionalSensitizable;
+      local.collect_paths_limit = std::uint64_t{1} << 20;
 
-      ClassifyOptions off = tier_base;
-      ClassifyOptions learned = tier_base;
-      learned.implications = ImplicationTier::kLearned;
-
-      const ClassifyResult off_run = classify_paths(item.circuit, off);
-      const ClassifyResult learned_run =
-          classify_paths(item.circuit, learned);
+      const ClassifyResult local_run = classify_paths(item.circuit, local);
       const LogicalPathSet exact = exact_kept_paths(
           item.circuit, Criterion::kFunctionalSensitizable);
-
-      const LogicalPathSet local_set(off_run.kept_keys.begin(),
-                                     off_run.kept_keys.end());
-      const LogicalPathSet learned_set(learned_run.kept_keys.begin(),
-                                       learned_run.kept_keys.end());
-      const bool exact_in_learned = std::includes(
-          learned_set.begin(), learned_set.end(), exact.begin(), exact.end());
-      const bool learned_in_local = std::includes(
-          local_set.begin(), local_set.end(), learned_set.begin(),
-          learned_set.end());
-      const bool sound = exact_in_learned && learned_in_local;
+      const LogicalPathSet local_set(local_run.kept_keys.begin(),
+                                     local_run.kept_keys.end());
+      const bool sound = std::includes(local_set.begin(), local_set.end(),
+                                       exact.begin(), exact.end());
       if (!sound) {
         std::fprintf(stderr,
-                     "[ablation] ERROR: %s tier containment violated "
-                     "(exact⊆learned %d, learned⊆local %d)\n",
-                     item.name.c_str(), exact_in_learned, learned_in_local);
-        tier_violation = true;
+                     "[ablation] ERROR: %s: an exactly sensitizable path "
+                     "is not kept (exact ⊆ local violated)\n",
+                     item.name.c_str());
+        containment_violation = true;
       }
+      const std::uint64_t gap = local_set.size() - exact.size();
 
-      tiers.add_row({item.name, std::to_string(exact.size()),
-                     std::to_string(off_run.kept_paths),
-                     std::to_string(learned_run.kept_paths),
-                     std::to_string(learned_run.learned->dropped),
-                     sound ? "yes" : "NO"});
+      gaps.add_row({item.name, std::to_string(exact.size()),
+                    std::to_string(local_run.kept_paths),
+                    sound ? std::to_string(gap) : "-", sound ? "yes" : "NO"});
       if (report.enabled()) {
         JsonValue json_row = JsonValue::object();
         json_row.set("circuit", JsonValue::string(item.name));
-        json_row.set("study", JsonValue::string("implication_tier"));
+        json_row.set("study", JsonValue::string("approximation_gap"));
         json_row.set("exact_kept",
                      JsonValue::number(
                          static_cast<std::uint64_t>(exact.size())));
-        json_row.set("kept_off", JsonValue::number(off_run.kept_paths));
-        json_row.set("kept_learned",
-                     JsonValue::number(learned_run.kept_paths));
-        json_row.set("learned_dropped",
-                     JsonValue::number(learned_run.learned->dropped));
-        json_row.set("learned_assignments",
-                     JsonValue::number(learned_run.learned->assignments));
+        json_row.set("kept_local", JsonValue::number(local_run.kept_paths));
+        json_row.set("gap", sound ? JsonValue::number(gap) : JsonValue::null());
         json_row.set("sound", JsonValue::boolean(sound));
         report.add_row(std::move(json_row));
       }
-      std::fprintf(stderr, "[ablation] tiers: %s done\n", item.name.c_str());
+      std::fprintf(stderr, "[ablation] gap: %s done\n", item.name.c_str());
     }
   }
-  std::printf("%s", tiers.to_string().c_str());
+  std::printf("%s", gaps.to_string().c_str());
   std::printf(
-      "\nlearned drops only paths the exhaustive sweep also excludes\n"
-      "(soundness check).\n");
+      "\nevery exactly sensitizable path is kept (soundness check); the\n"
+      "gap paths are robust dependent but not refuted locally.\n");
   report.write();
-  return tier_violation ? 1 : 0;
+  return containment_violation ? 1 : 0;
 }

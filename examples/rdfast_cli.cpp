@@ -43,13 +43,6 @@
 //                    --cache-dir=D  load/persist the cone cache under
 //                                   directory D (implies --incremental;
 //                                   D is created if its parent exists)
-//                    --implications=off|learned  implication tier:
-//                                   learned adds failed-literal probing
-//                                   of kept paths (sound, smaller kept
-//                                   set; not composable with
-//                                   --incremental)
-//                    --learn-budget=N  probe cap per kept path for
-//                                   --implications=learned
 // atpg options:      --max-paths=N   cap on enumerated must-test paths
 //                    --threads=N
 //                    --stats-json=FILE
@@ -216,8 +209,6 @@ int cmd_classify(const std::string& spec, int argc, char** argv) {
   std::string engine = "approx";
   std::string stats_json;
   std::string cache_dir;
-  std::string implications = "off";
-  bool learn_budget_set = false;
   bool incremental = false;
   CacheFaultInjection cache_inject;
   ClassifyOptions base;
@@ -241,11 +232,6 @@ int cmd_classify(const std::string& spec, int argc, char** argv) {
       // naming the flag, not a mid-run I/O failure.
       cache_dir = validate_directory_flag(arg.substr(12), "--cache-dir");
       incremental = true;
-    } else if (starts_with(arg, "--implications="))
-      implications = arg.substr(15);
-    else if (starts_with(arg, "--learn-budget=")) {
-      base.learn_budget = parse_uint64_strict(arg.substr(15), "--learn-budget");
-      learn_budget_set = true;
     } else if (starts_with(arg, "--inject-cache-truncate-after="))
       cache_inject.truncate_after_bytes = parse_uint64_strict(
           arg.substr(30), "--inject-cache-truncate-after");
@@ -259,29 +245,6 @@ int cmd_classify(const std::string& spec, int argc, char** argv) {
       std::fprintf(stderr, "unknown classify option: %s\n", arg.c_str());
       return 2;
     }
-  }
-  if (implications == "learned") {
-    base.implications = ImplicationTier::kLearned;
-  } else if (implications != "off") {
-    std::fprintf(stderr,
-                 "usage error: --implications must be off or learned "
-                 "(got '%s')\n",
-                 implications.c_str());
-    return 2;
-  }
-  if (learn_budget_set && base.implications != ImplicationTier::kLearned) {
-    std::fprintf(stderr,
-                 "usage error: --learn-budget requires "
-                 "--implications=learned\n");
-    return 2;
-  }
-  // Learned probing shrinks kept-path sets, so its results must never
-  // seed the cone cache (classify_eco rejects it too; fail fast here).
-  if (incremental && base.implications == ImplicationTier::kLearned) {
-    std::fprintf(stderr,
-                 "usage error: --implications=learned does not compose "
-                 "with --incremental\n");
-    return 2;
   }
   if (!incremental && (cache_inject.truncate_after_bytes != 0 ||
                        cache_inject.flip_bit != 0 ||
@@ -394,10 +357,6 @@ int cmd_classify(const std::string& spec, int argc, char** argv) {
               result.rd_percent);
   std::printf("must-test      : %llu\n",
               static_cast<unsigned long long>(result.kept_paths));
-  if (result.learned.has_value())
-    std::printf("implications   : learned (%llu learned, %llu dropped)\n",
-                static_cast<unsigned long long>(result.learned->assignments),
-                static_cast<unsigned long long>(result.learned->dropped));
   std::printf("time           : %s\n",
               format_duration(watch.elapsed_seconds()).c_str());
   if (!result.worker_stats.empty())
@@ -732,8 +691,6 @@ int cmd_request(const std::string& port_spec, int argc, char** argv) {
                       parse_uint64_strict(arg.substr(12), "--max-paths")));
     else if (arg == "--incremental")
       request.set("incremental", JsonValue::boolean(true));
-    else if (starts_with(arg, "--implications="))
-      request.set("implications", JsonValue::string(arg.substr(15)));
     else if (starts_with(arg, "--deadline-ms="))
       guard.set("deadline_ms",
                 JsonValue::number(

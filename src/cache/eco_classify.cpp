@@ -97,10 +97,6 @@ EcoResult classify_eco(const Circuit& circuit, ConeCacheStore& store,
   if (options.base.collect_lead_counts)
     throw std::invalid_argument(
         "classify_eco: collect_lead_counts is not supported in eco mode");
-  if (options.base.implications == ImplicationTier::kLearned)
-    throw std::invalid_argument(
-        "classify_eco: the learned implication tier is not supported in eco "
-        "mode (learned kept sets would poison cached cone records)");
   if (options.base.sort != nullptr || options.base.compiled != nullptr)
     throw std::invalid_argument(
         "classify_eco: base.sort/base.compiled must be null "

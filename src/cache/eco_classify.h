@@ -27,11 +27,8 @@
 // sort-free, is additionally pinned against the whole-circuit engine.
 //
 // Not supported in eco mode: collect_lead_counts (per-lead tallies are
-// a whole-circuit observability feature) and the kLearned implication
-// tier — learned probing shrinks kept sets, so a record computed under
-// it would poison the cone cache for every non-learned client of the
-// same cone signature; classify_eco throws std::invalid_argument for
-// either.  work_limit applies per cone.
+// a whole-circuit observability feature); classify_eco throws
+// std::invalid_argument for it.  work_limit applies per cone.
 #pragma once
 
 #include <string>

@@ -61,8 +61,6 @@ ClassifyResult classify_paths_serial(const Circuit& circuit,
     result.abort_reason = error.reason();
   }
   result.implication = dfs.implication_stats();
-  if (options.implications == ImplicationTier::kLearned)
-    result.learned = dfs.learned_stats();
   result.memo = dfs.memo_stats();
   internal::finish_classify_result(circuit, &result);
   result.wall_seconds = watch.elapsed_seconds();

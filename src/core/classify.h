@@ -42,20 +42,6 @@ enum class Criterion : std::uint8_t {
   kInputSort,
 };
 
-/// Implication tier of the classification DFS.
-///
-///   kOff      local implications only, as in the paper (default).
-///   kLearned  failed-literal probing of surviving paths: unknown side
-///             inputs of a survivor are probed at both polarities on
-///             the worker's engine; a refuted polarity forces the
-///             other, both refuted proves the path's constraint set
-///             unsatisfiable and drops it.  Sound (dropped paths are
-///             truly robust dependent — exact ⊆ learned ⊆ local) and
-///             deterministic, but the kept set genuinely shrinks, so
-///             learned results must not be mixed with kOff results by
-///             caching layers.
-enum class ImplicationTier : std::uint8_t { kOff, kLearned };
-
 struct ClassifyOptions {
   Criterion criterion = Criterion::kFunctionalSensitizable;
 
@@ -107,12 +93,6 @@ struct ClassifyOptions {
   /// way.  Not owned; shared read-only across concurrent runs.
   const CompiledCircuit* compiled = nullptr;
 
-  /// Implication tier (see ImplicationTier).  kOff by default.
-  ImplicationTier implications = ImplicationTier::kOff;
-
-  /// kLearned: cap on probed side-input literals per surviving path
-  /// (0 = probe every unknown side input along the path).
-  std::uint64_t learn_budget = 0;
 };
 
 /// Per-worker observability counters of one parallel classification
@@ -122,20 +102,6 @@ struct ClassifyWorkerStats {
   std::uint64_t steals = 0;        // of those, stolen from another shard
   std::uint64_t work = 0;          // DFS extension steps performed
   double busy_seconds = 0.0;       // wall time inside seed subtrees
-};
-
-/// Failed-literal probing counters of the kLearned tier, summed over
-/// every worker.
-struct LearnedStats {
-  std::uint64_t assignments = 0;  // literals forced by a refuted probe
-  std::uint64_t dropped = 0;      // survivors refuted and dropped
-
-  void merge(const LearnedStats& other) {
-    assignments += other.assignments;
-    dropped += other.dropped;
-  }
-
-  bool operator==(const LearnedStats&) const = default;
 };
 
 /// Subtree-replay cache counters (DESIGN.md §14), summed over every
@@ -197,16 +163,10 @@ struct ClassifyResult {
   /// abort point are scheduling-dependent.
   ImplicationStats implication;
 
-  /// Learned-tier counters; engaged iff options.implications ==
-  /// kLearned.  Deterministic on completed runs: the probe verdict at
-  /// each survivor depends only on the engine state there, which is
-  /// thread-count-independent.
-  std::optional<LearnedStats> learned;
-
   /// Subtree-replay counters; engaged iff the run was eligible for the
-  /// replay cache (no kept keys or lead counts collected, tier kOff,
-  /// at least 32 leads).  Observability only, excluded from the
-  /// determinism guarantee.
+  /// replay cache (no kept keys or lead counts collected, at least 32
+  /// leads).  Observability only, excluded from the determinism
+  /// guarantee.
   std::optional<MemoStats> memo;
 
   /// Observability: wall-clock seconds of the classification DFS

@@ -310,18 +310,17 @@ class SharedBudget {
 
 /// Whether a run may use the subtree-replay cache.  A replayed subtree
 /// reproduces counts, work and stats but not the per-path side effects
-/// of its survivors — keys, lead tallies and learned probes — so runs
-/// that record any of them explore every subtree.  Circuits below
-/// kReplayMinLeads (c17-sized) finish their whole DFS in microseconds,
-/// less than setting up the table and the key costs.  Decided once per
+/// of its survivors — keys and lead tallies — so runs that record
+/// either explore every subtree.  Circuits below kReplayMinLeads
+/// (c17-sized) finish their whole DFS in microseconds, less than
+/// setting up the table and the key costs.  Decided once per
 /// run; the phase-1 frontier pass is excluded separately by SeedDfs.
 inline constexpr std::size_t kReplayMinLeads = 32;
 
 inline bool replay_eligible(const ClassifyOptions& options,
                             const CompiledCircuit& compiled) {
   return compiled.num_leads() >= kReplayMinLeads &&
-         options.collect_paths_limit == 0 && !options.collect_lead_counts &&
-         options.implications == ImplicationTier::kOff;
+         options.collect_paths_limit == 0 && !options.collect_lead_counts;
 }
 
 /// Subtree-replay table of one SeedDfs (DESIGN.md §14).  An entry is
@@ -487,9 +486,6 @@ class SeedDfs {
   const ImplicationStats& implication_stats() const {
     return engine_.stats();
   }
-
-  /// This driver's learned-tier counters (merged by summation).
-  const LearnedStats& learned_stats() const { return learned_; }
 
   /// This driver's replay-cache counters; engaged iff it has a cache.
   std::optional<MemoStats> memo_stats() const {
@@ -733,75 +729,7 @@ class SeedDfs {
     return true;
   }
 
-  /// kLearned: one failed-literal probe of side-input gate `gate`
-  /// (currently unknown).  Returns false when both polarities are
-  /// refuted — the engine state at this survivor is unsatisfiable.  A
-  /// single refuted polarity asserts the forced one on the engine
-  /// (strengthening later probes of the same survivor); the caller
-  /// rolls everything back to its mark.
-  bool probe_literal(GateId gate) {
-    const std::size_t mark = engine_.mark();
-    const bool ok0 = engine_.assign(gate, Value3::kZero);
-    engine_.rollback(mark);
-    const bool ok1 = engine_.assign(gate, Value3::kOne);
-    if (!ok1) {
-      engine_.rollback(mark);
-      if (!ok0) return false;
-      ++learned_.assignments;
-      engine_.assign(gate, Value3::kZero);
-      return true;
-    }
-    if (!ok0) {
-      ++learned_.assignments;  // gate = 1 already holds on the engine
-      return true;
-    }
-    engine_.rollback(mark);
-    return true;
-  }
-
-  /// kLearned: probes the unknown side inputs along the recorded
-  /// segment.  Returns false when probing proves the survivor's
-  /// constraint set unsatisfiable — the path is truly robust dependent
-  /// (both polarities of some literal refuted by sound implications)
-  /// and is dropped.  Deterministic: the engine state at a survivor is
-  /// thread-count-independent, and all probe state is rolled back
-  /// before returning.
-  bool probe_survivor() {
-    const std::size_t mark = engine_.mark();
-    std::uint64_t probed = 0;
-    bool feasible = true;
-    for (const LeadId lead_id : segment_) {
-      const CompiledLead& lead = compiled_.lead(lead_id);
-      if (!lead.sink_has_ctrl) continue;
-      const SideSpan span = compiled_.side_all_span(lead);
-      for (const GateId* gate = span.begin(); gate != span.end(); ++gate) {
-        if (is_known(engine_.value(*gate))) continue;
-        if (options_.learn_budget != 0 &&
-            probed >= options_.learn_budget) {
-          engine_.rollback(mark);
-          return true;
-        }
-        ++probed;
-        if (!probe_literal(*gate)) {
-          feasible = false;
-          break;
-        }
-      }
-      if (!feasible) break;
-    }
-    engine_.rollback(mark);
-    return feasible;
-  }
-
   void record_survivor() {
-    if (options_.implications == ImplicationTier::kLearned &&
-        !probe_survivor()) {
-      // Refuted before it is counted: no kept_paths increment, no
-      // merge event, no key, no lead tallies — the path joins the
-      // identified RD set.
-      ++learned_.dropped;
-      return;
-    }
     ++outcome_.kept_paths;
     if constexpr (kFrontier) {
       if (on_survivor_) on_survivor_();
@@ -835,7 +763,6 @@ class SeedDfs {
   Budget& budget_;
   std::vector<std::uint64_t>* lead_counts_;
   ImplicationEngine engine_;
-  LearnedStats learned_;
 
   // Subtree-replay cache (null on ineligible runs, which then allocate
   // and look up nothing).

@@ -242,11 +242,6 @@ ClassifyResult classify_paths_parallel(const Circuit& circuit,
   result.implication = root_dfs.implication_stats();
   for (const WorkerState& state : workers)
     if (state.dfs) result.implication.merge(state.dfs->implication_stats());
-  if (options.implications == ImplicationTier::kLearned) {
-    result.learned = root_dfs.learned_stats();
-    for (const WorkerState& state : workers)
-      if (state.dfs) result.learned->merge(state.dfs->learned_stats());
-  }
   if (internal::replay_eligible(options, compiled)) {
     result.memo = MemoStats{};
     for (const WorkerState& state : workers)

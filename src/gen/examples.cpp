@@ -45,7 +45,7 @@ Circuit unsat_side_constraint_circuit() {
   // The rising-m path z1..z5 asserts s1..s4 = 1 (non-controlling tips
   // at the AND gates) — jointly unsatisfiable, pairwise silent under
   // ternary propagation.  The z4->z5 lead has a controlling tip under
-  // FS, so its side input c stays unknown and is the probe target.
+  // FS, so its side input c stays unknown.
   Circuit circuit("unsat_side");
   const GateId m = circuit.add_input("m");
   const GateId c = circuit.add_input("c");

@@ -25,10 +25,9 @@ Circuit c17();
 /// the m-to-PO path encode the unsatisfiable CNF
 /// (c+d)(c'+d)(c+d')(c'+d') through four OR side inputs, yet the
 /// ternary drain never sees a conflict (no single literal is forced).
-/// One further lead exposes c itself as an unconstrained side input,
-/// so failed-literal probing (--implications=learned) case-splits on
-/// c, refutes both polarities, and drops the path — the exact FS
-/// engine agrees it is robust dependent.
+/// Local implications keep 8 paths where the exact FS set has 7; the
+/// extra one is robust dependent, and a SAT sensitizability query
+/// finds no witness vector for it.
 Circuit unsat_side_constraint_circuit();
 
 }  // namespace rd

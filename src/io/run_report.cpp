@@ -79,14 +79,6 @@ JsonValue classify_result_json(const ClassifyResult& result) {
   out.set("work", JsonValue::number(result.work));
   out.set("wall_seconds", JsonValue::number(result.wall_seconds));
   out.set("implication", implication_json(result.implication));
-  // Optional, additive (no schema bump): present only when the run used
-  // the learned implication tier.
-  if (result.learned.has_value()) {
-    JsonValue learned = JsonValue::object();
-    learned.set("assignments", JsonValue::number(result.learned->assignments));
-    learned.set("dropped", JsonValue::number(result.learned->dropped));
-    out.set("learned", std::move(learned));
-  }
   // Optional, additive (no schema bump): present only when the run was
   // eligible for the subtree-replay cache.  Parallel counts depend on
   // the schedule, like "workers".
@@ -254,10 +246,6 @@ void record_classify_metrics(const ClassifyResult& result,
                        result.implication.propagations);
   registry.add_counter("implication.conflicts", result.implication.conflicts);
   registry.add_counter("implication.backward", result.implication.backward);
-  if (result.learned.has_value()) {
-    registry.add_counter("learned.assignments", result.learned->assignments);
-    registry.add_counter("learned.dropped", result.learned->dropped);
-  }
   if (result.memo.has_value()) {
     registry.add_counter("memo.lookups", result.memo->lookups);
     registry.add_counter("memo.hits", result.memo->hits);
@@ -320,8 +308,8 @@ void validate_abort_reason(const JsonValue& object, const char* context,
                        "\" in " + context);
 }
 
-/// A required counter key of an optional report block (classify.learned,
-/// classify.memo, eco, eco.recovery, serve.cone_cache): present and a number.
+/// A required counter key of an optional report block (classify.memo,
+/// eco, eco.recovery, serve.cone_cache): present and a number.
 void require_counter(const JsonValue& object, const char* owner,
                      const char* key, std::vector<std::string>& problems) {
   const JsonValue* value = object.find(key);
@@ -356,16 +344,6 @@ void validate_classify_payload(const JsonValue& report,
     const JsonValue* rd_paths = classify->find("rd_paths");
     if (rd_paths != nullptr && rd_paths->is_null())
       problems.push_back("completed run has null \"rd_paths\"");
-  }
-  // Optional "learned" object (learned implication tier counters).
-  const JsonValue* learned = classify->find("learned");
-  if (learned != nullptr) {
-    if (!learned->is_object()) {
-      problems.push_back("\"classify.learned\" is not an object");
-    } else {
-      for (const char* key : {"assignments", "dropped"})
-        require_counter(*learned, "classify.learned", key, problems);
-    }
   }
   // Optional "memo" object (subtree-replay cache counters).
   const JsonValue* memo = classify->find("memo");

@@ -55,12 +55,11 @@ namespace rd {
 /// object inside "serve" payloads, and optional "cache_evictions" /
 /// "cache_failures" counters there (the CircuitCache verdict beyond
 /// plain hit/miss).
-/// Further v2 additions (no bump): an optional "learned" object inside
-/// classify payloads ({"assignments", "dropped"}), present only when
-/// the run used the learned implication tier.  Earlier v2 builds could
-/// emit optional "closure" objects in classify, eco and serve payloads;
-/// they are no longer produced, and a report still carrying one stays
-/// valid (unknown keys are ignored), so this needs no bump either.
+/// Earlier v2 builds could emit optional "closure" objects in classify,
+/// eco and serve payloads, and an optional "learned" object
+/// ({"assignments", "dropped"}) in classify payloads; they are no
+/// longer produced, and a report still carrying one stays valid
+/// (unknown keys are ignored), so this needs no bump either.
 /// Further v2 additions (no bump): an optional "memo" object inside
 /// classify payloads ({"lookups", "hits", "replayed_work"}), present
 /// only when the run was eligible for the subtree-replay cache; its

@@ -315,12 +315,12 @@ JsonValue Session::run_classify(const JsonValue& request, std::uint64_t id,
   // unknown option, rather than silently run on the scalar engine.
   if (request.find("lanes") != nullptr)
     throw BadRequest("field 'lanes' was removed; classification is scalar");
-  const std::string implications = get_string(request, "implications", "off");
-  if (implications == "learned") {
-    base.implications = ImplicationTier::kLearned;
-  } else if (implications != "off") {
-    throw BadRequest("field 'implications' must be off or learned");
-  }
+  // Likewise the learned implication tier: the classifier uses the
+  // paper's local implications only, and any tier request is refused.
+  if (request.find("implications") != nullptr)
+    throw BadRequest(
+        "field 'implications' was removed; classification uses local "
+        "implications only");
 
   const GuardSpec guard_spec = GuardSpec::from_request(request);
   ExecGuard guard(guard_spec.options(config_.cancel));
@@ -332,10 +332,6 @@ JsonValue Session::run_classify(const JsonValue& request, std::uint64_t id,
     // reuse lives at cone granularity in the shared ConeCacheStore,
     // which survives across requests (and daemon restarts when the
     // server persists it).
-    if (base.implications == ImplicationTier::kLearned)
-      throw BadRequest(
-          "'implications': 'learned' does not compose with incremental mode "
-          "(learned kept sets would poison cached cone records)");
     Circuit circuit;
     try {
       circuit = generator ? generator() : read_bench_string(bench_text, name);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
 
 #include "core/classify.h"
@@ -18,6 +19,7 @@
 #include "gen/examples.h"
 #include "gen/iscas_like.h"
 #include "paths/counting.h"
+#include "sat/cnf.h"
 
 namespace rd {
 namespace {
@@ -226,55 +228,59 @@ TEST(Classify, C17AllPathsSurviveFs) {
   EXPECT_EQ(exact_kept_paths(circuit, Criterion::kNonRobust).size(), 22u);
 }
 
-// The learned implication tier: failed-literal probing drops a
-// survivor whose side-input constraints are unsatisfiable, but which
-// local implications alone keep.
-TEST(LearnedTier, DropsProvablyUnsatisfiableSurvivor) {
+// The one known approximation gap: on unsat_side_constraint_circuit
+// local implications keep exactly one path more than the exhaustive FS
+// sweep.  The SAT witness query sat_sensitizable separates the two:
+// it finds no sensitizing vector for the extra path and one for every
+// other kept path.
+TEST(ApproximationGap, UnsatSideKeepsOneUnsensitizablePath) {
   const Circuit circuit = unsat_side_constraint_circuit();
-  ClassifyOptions base;
-  base.criterion = Criterion::kFunctionalSensitizable;
-  base.collect_paths_limit = std::uint64_t{1} << 16;
+  ClassifyOptions options;
+  options.criterion = Criterion::kFunctionalSensitizable;
+  options.collect_paths_limit = std::uint64_t{1} << 16;
+  const ClassifyResult local = classify_paths(circuit, options);
+  ASSERT_TRUE(local.completed);
 
-  const ClassifyResult off = classify_paths(circuit, base);
-  EXPECT_FALSE(off.learned.has_value());
-  ClassifyOptions learned_options = base;
-  learned_options.implications = ImplicationTier::kLearned;
-  const ClassifyResult learned = classify_paths(circuit, learned_options);
-
-  ASSERT_TRUE(learned.learned.has_value());
-  EXPECT_GE(learned.learned->dropped, 1u);
-  EXPECT_EQ(learned.kept_paths + learned.learned->dropped, off.kept_paths);
-
-  // Set containment against the exhaustive reference: everything the
-  // probe dropped is also outside the exact FS set, and everything
-  // exact keeps survives probing.
+  const LogicalPathSet kept(local.kept_keys.begin(), local.kept_keys.end());
   const LogicalPathSet exact =
       exact_kept_paths(circuit, Criterion::kFunctionalSensitizable);
-  const LogicalPathSet off_set(off.kept_keys.begin(), off.kept_keys.end());
-  const LogicalPathSet learned_set(learned.kept_keys.begin(),
-                                   learned.kept_keys.end());
-  EXPECT_LT(exact.size(), off_set.size());  // FS^sup genuinely over-keeps
-  EXPECT_TRUE(std::includes(learned_set.begin(), learned_set.end(),
-                            exact.begin(), exact.end()));
-  EXPECT_TRUE(std::includes(off_set.begin(), off_set.end(),
-                            learned_set.begin(), learned_set.end()));
+  EXPECT_EQ(kept.size(), 8u);
+  EXPECT_EQ(exact.size(), 7u);
+  EXPECT_TRUE(std::includes(kept.begin(), kept.end(), exact.begin(),
+                            exact.end()));
 
-  // Deterministic at every thread count.
-  for (const std::size_t threads : {2u, 4u}) {
-    ClassifyOptions parallel_options = learned_options;
-    parallel_options.num_threads = threads;
-    const ClassifyResult parallel = classify_paths(circuit, parallel_options);
-    EXPECT_EQ(parallel.kept_paths, learned.kept_paths) << threads;
-    EXPECT_EQ(parallel.kept_keys, learned.kept_keys) << threads;
-    EXPECT_EQ(parallel.learned, learned.learned) << threads;
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    ClassifyOptions run = options;
+    run.num_threads = threads;
+    const ClassifyResult parallel = classify_paths_parallel(circuit, run);
+    EXPECT_EQ(parallel.kept_paths, local.kept_paths) << threads;
+    EXPECT_EQ(parallel.kept_keys, local.kept_keys) << threads;
+    EXPECT_EQ(parallel.work, local.work) << threads;
+    EXPECT_EQ(parallel.implication, local.implication) << threads;
   }
+
+  SatSolver solver;
+  const CircuitCnf cnf(circuit, solver);
+  std::size_t gap = 0;
+  for (const std::vector<std::uint32_t>& key : kept) {
+    LogicalPath path;
+    path.path.leads.assign(key.begin(), key.end() - 1);
+    path.final_pi_value = key.back() != 0;
+    const std::optional<bool> witness = sat_sensitizable(
+        circuit, cnf, solver, path, Criterion::kFunctionalSensitizable);
+    ASSERT_TRUE(witness.has_value());
+    EXPECT_EQ(*witness, exact.count(key) == 1)
+        << path_to_string(circuit, path);
+    if (!*witness) ++gap;
+  }
+  EXPECT_EQ(gap, 1u);
 }
 
 // The subtree-replay cache (DESIGN.md §14): a Heuristic 1 run on the
 // c432 stand-in revisits subtrees from equal engine states and replays
 // them — with the same counters as the reference engine — while runs
-// that record per-path side effects (keys, lead tallies, learned
-// probes) never touch a cache at all.
+// that record per-path side effects (keys, lead tallies) never touch a
+// cache at all.
 TEST(ReplayCache, HeuristicOneRunOnC432Replays) {
   const Circuit circuit = make_benchmark("c432");
   const InputSort sort = heuristic1_sort(circuit);
@@ -314,10 +320,7 @@ TEST(ReplayCache, RunsWithPerPathSideEffectsUseNoCache) {
   keys.collect_paths_limit = 1;
   ClassifyOptions lead_counts = base;
   lead_counts.collect_lead_counts = true;
-  ClassifyOptions learned = base;
-  learned.implications = ImplicationTier::kLearned;
-  learned.learn_budget = 1;
-  for (const ClassifyOptions& options : {keys, lead_counts, learned}) {
+  for (const ClassifyOptions& options : {keys, lead_counts}) {
     for (const std::size_t threads : {1u, 2u}) {
       ClassifyOptions run = options;
       run.num_threads = threads;

@@ -280,12 +280,6 @@ TEST(Eco, RejectsUnsupportedOptionCombinations) {
     EXPECT_THROW(classify_eco(circuit, store, options), std::invalid_argument);
   }
   {
-    // Learned kept sets would poison cached cone records.
-    EcoOptions options;
-    options.base.implications = ImplicationTier::kLearned;
-    EXPECT_THROW(classify_eco(circuit, store, options), std::invalid_argument);
-  }
-  {
     // The driver compiles per cone; a caller-supplied whole-circuit
     // compiled view cannot apply to cone-local gate ids.
     EcoOptions options;
