@@ -80,7 +80,8 @@ void figures_1_2_4_5() {
   std::size_t robust = 0;
   for (const auto& key : figure2) {
     const LogicalPath path = path_from_key(key);
-    const bool testable = is_robustly_testable(circuit, path);
+    const bool testable =
+        search_robust_test(circuit, path).verdict == AtpgVerdict::kTestable;
     robust += testable;
     std::printf("    %-28s %s\n", path_to_string(circuit, path).c_str(),
                 testable ? "robustly testable" : "NOT robustly testable");
@@ -96,7 +97,8 @@ void figures_1_2_4_5() {
   std::size_t optimal_robust = 0;
   for (const auto& key : heu2.classify.kept_keys) {
     const LogicalPath path = path_from_key(key);
-    const bool testable = is_robustly_testable(circuit, path);
+    const bool testable =
+        search_robust_test(circuit, path).verdict == AtpgVerdict::kTestable;
     optimal_robust += testable;
     std::printf("    %-28s %s\n", path_to_string(circuit, path).c_str(),
                 testable ? "robustly testable" : "NOT robustly testable");

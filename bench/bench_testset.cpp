@@ -119,8 +119,8 @@ int main(int argc, char** argv) {
       row.set("tests_filtered",
               JsonValue::number(
                   static_cast<std::uint64_t>(filtered_set.tests.size())));
-      row.set("atpg_seconds_all", JsonValue::number(all_seconds));
-      row.set("atpg_seconds_filtered", JsonValue::number(filtered_seconds));
+      row.set("atpg_all_seconds", JsonValue::number(all_seconds));
+      row.set("atpg_filtered_seconds", JsonValue::number(filtered_seconds));
       row.set("robust_nodes", JsonValue::number(filtered_set.robust_nodes));
       row.set("nonrobust_nodes",
               JsonValue::number(filtered_set.nonrobust_nodes));

@@ -54,7 +54,7 @@ int main() {
     path.path.leads.assign(key.begin(), key.end() - 1);
     path.final_pi_value = key.back() != 0;
     kept_lengths.push_back(path.path.leads.size());
-    if (find_robust_test(circuit, path).has_value())
+    if (search_robust_test(circuit, path).verdict == AtpgVerdict::kTestable)
       ++testable;
     else
       untestable.push_back(std::move(path));

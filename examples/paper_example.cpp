@@ -22,7 +22,8 @@ void print_paths(const Circuit& circuit,
     path.path.leads.assign(key.begin(), key.end() - 1);
     path.final_pi_value = key.back() != 0;
     std::printf("    %-28s %s\n", path_to_string(circuit, path).c_str(),
-                is_robustly_testable(circuit, path)
+                search_robust_test(circuit, path).verdict ==
+                        AtpgVerdict::kTestable
                     ? "robustly testable"
                     : "NOT robustly testable");
   }

@@ -11,11 +11,13 @@
 #   4. the quick benchmark sweep with JSON validation
 #      (scripts/run_bench.sh), which also gates the serve and eco
 #      claims via scripts/compare_bench.py --serve / --eco,
-#   5. the exact Table II gate: a fresh full bench_table2 run must
-#      match the committed BENCH_table2.json on every deterministic
-#      field (kept counts, work, implication counters, prerun_work,
-#      sort digests) -- no tolerance, timings and the workers/memo
-#      blocks skipped (scripts/compare_bench.py diff mode),
+#   5. the exact gates: a fresh full bench_table2 run must match the
+#      committed BENCH_table2.json on every deterministic field (kept
+#      counts, work, implication counters, prerun_work, sort digests),
+#      and a fresh bench_testset --quick run the committed
+#      BENCH_testset.json (must-test counts, test counts, ATPG search
+#      nodes) -- no tolerance, timings and the workers/memo blocks
+#      skipped (scripts/compare_bench.py diff mode),
 #   6. the end-to-end benchmark's own checker (perfbench/run.py
 #      --self-test): a corrupted kept count and a flipped detection
 #      class must both be caught, so its verdict checks still bite.
@@ -42,15 +44,19 @@ scripts/check_tsan.sh
 echo "== [4/6] benchmark sweep + JSON validation + serve/eco gates"
 scripts/run_bench.sh
 
-echo "== [5/6] exact Table II gate (fresh bench_table2 vs BENCH_table2.json)"
-table2_dir="$(mktemp -d)"
-trap 'rm -rf "$table2_dir"' EXIT
-build-release/bench/bench_table2 --json="$table2_dir/BENCH_table2.json" \
+echo "== [5/6] exact gates (fresh bench_table2 and bench_testset --quick)"
+gate_dir="$(mktemp -d)"
+trap 'rm -rf "$gate_dir"' EXIT
+build-release/bench/bench_table2 --json="$gate_dir/BENCH_table2.json" \
   > /dev/null
-build-release/examples/rdfast_cli validate-json \
-  "$table2_dir/BENCH_table2.json"
-python3 scripts/compare_bench.py BENCH_table2.json \
-  "$table2_dir/BENCH_table2.json"
+build-release/bench/bench_testset --quick \
+  --json="$gate_dir/BENCH_testset.json" > /dev/null
+for name in table2 testset; do
+  build-release/examples/rdfast_cli validate-json \
+    "$gate_dir/BENCH_$name.json"
+  python3 scripts/compare_bench.py "BENCH_$name.json" \
+    "$gate_dir/BENCH_$name.json"
+done
 
 echo "== [6/6] benchmark checker self-test"
 python3 perfbench/run.py --self-test

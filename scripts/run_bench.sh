@@ -19,10 +19,11 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-bench}"
 ARGS="${BENCH_ARGS---quick}"
 
-# bench_table2 is not in the sweep: its full run is the exact Table II
-# gate in scripts/check_all.sh, diffed against the committed
-# BENCH_table2.json, which a sweep must not overwrite.
-BENCHES=(table1 table3 testset ablation approx figures serve eco)
+# bench_table2 and bench_testset are not in the sweep: they are the
+# exact gates in scripts/check_all.sh, diffed against the committed
+# BENCH_table2.json and BENCH_testset.json, which a sweep must not
+# overwrite.
+BENCHES=(table1 table3 ablation approx figures serve eco)
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 TARGETS=(rdfast_cli)

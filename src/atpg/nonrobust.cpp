@@ -1,10 +1,9 @@
 #include "atpg/nonrobust.h"
 
-#include <functional>
 #include <stdexcept>
 
+#include "atpg/path_fault_sim.h"
 #include "sim/implication.h"
-#include "sim/logic_sim.h"
 
 namespace rd {
 
@@ -49,70 +48,21 @@ NonRobustSearch search_nonrobust_test(const Circuit& circuit,
   // Complete the assignment over the PIs: the asserted gate values are
   // on the engine's trail, so any full PI assignment that survives the
   // implications satisfies every condition.
-  const auto& pis = circuit.inputs();
-  std::uint64_t nodes = 0;
-
-  // Depth-first over PI indices, skipping already-implied ones.
-  std::vector<std::size_t> order;
-  for (std::size_t i = 0; i < pis.size(); ++i) order.push_back(i);
-
-  std::vector<Value3> witness(pis.size(), Value3::kUnknown);
-  std::function<bool(std::size_t)> recurse = [&](std::size_t index) -> bool {
-    if (++nodes > max_nodes)
-      throw GuardTrippedError(AbortReason::kWorkBudget);
-    if (guard != nullptr && !guard->check())
-      throw GuardTrippedError(guard->reason());
-    while (index < order.size() && is_known(engine.value(pis[order[index]])))
-      ++index;
-    if (index == order.size()) {
-      for (std::size_t i = 0; i < pis.size(); ++i)
-        witness[i] = engine.value(pis[i]);
-      return true;
-    }
-    const GateId pi = pis[order[index]];
-    for (const Value3 value : {Value3::kZero, Value3::kOne}) {
-      const std::size_t mark = engine.mark();
-      if (engine.assign(pi, value) && recurse(index + 1)) return true;
-      engine.rollback(mark);
-    }
-    return false;
-  };
-  bool found = false;
-  try {
-    found = recurse(0);
-  } catch (const GuardTrippedError& error) {
-    result.nodes = nodes;
-    result.abort_reason = error.reason();
-    return result;
-  }
-  result.nodes = nodes;
-  if (!found) {
-    result.verdict = AtpgVerdict::kRedundant;
-    return result;
-  }
+  internal::PiCompletion completion = internal::complete_pi_assignment(
+      circuit, engine, max_nodes, guard, result.nodes);
+  result.verdict = completion.verdict;
+  result.abort_reason = completion.abort_reason;
+  if (completion.verdict != AtpgVerdict::kTestable) return result;
 
   NonRobustTest test;
-  test.v2.resize(pis.size());
-  for (std::size_t i = 0; i < pis.size(); ++i)
-    test.v2[i] = to_bool(witness[i]);
+  test.v2 = std::move(completion.pis);
   test.v1 = test.v2;
   // Launch: v1 complements the path's PI (Remark 1).
-  for (std::size_t i = 0; i < pis.size(); ++i)
-    if (pis[i] == path_pi(circuit, path.path)) test.v1[i] = !test.v1[i];
-  result.verdict = AtpgVerdict::kTestable;
+  const GateId pi = path_pi(circuit, path.path);
+  for (std::size_t i = 0; i < circuit.inputs().size(); ++i)
+    if (circuit.inputs()[i] == pi) test.v1[i] = !test.v1[i];
   result.test = std::move(test);
   return result;
-}
-
-std::optional<NonRobustTest> find_nonrobust_test(const Circuit& circuit,
-                                                 const LogicalPath& path,
-                                                 std::uint64_t max_nodes,
-                                                 std::uint64_t* nodes_used) {
-  NonRobustSearch result = search_nonrobust_test(circuit, path, max_nodes);
-  if (nodes_used != nullptr) *nodes_used = result.nodes;
-  if (result.verdict == AtpgVerdict::kAborted)
-    throw GuardTrippedError(result.abort_reason);
-  return std::move(result.test);
 }
 
 bool nonrobust_test_is_valid(const Circuit& circuit, const LogicalPath& path,
@@ -120,28 +70,51 @@ bool nonrobust_test_is_valid(const Circuit& circuit, const LogicalPath& path,
   if (test.v1.size() != circuit.inputs().size() ||
       test.v2.size() != circuit.inputs().size())
     return false;
-  const GateId pi = path_pi(circuit, path.path);
-
-  // Launch: v1 puts the PI at the initial value, v2 at the final one.
-  std::size_t pi_index = 0;
-  for (std::size_t i = 0; i < circuit.inputs().size(); ++i)
-    if (circuit.inputs()[i] == pi) pi_index = i;
-  if (test.v1[pi_index] != !path.final_pi_value) return false;
-  if (test.v2[pi_index] != path.final_pi_value) return false;
-
-  // (NR2) under v2.
-  const auto values = simulate(circuit, test.v2);
-  for (LeadId lead_id : path.path.leads) {
-    const Lead& lead = circuit.lead(lead_id);
-    const Gate& sink = circuit.gate(lead.sink);
-    if (!has_controlling_value(sink.type)) continue;
-    const bool nc = noncontrolling_value(sink.type);
-    for (std::uint32_t pin = 0; pin < sink.fanins.size(); ++pin) {
-      if (pin == lead.pin) continue;
-      if (values[sink.fanins[pin]] != nc) return false;
-    }
-  }
-  return true;
+  const auto waves =
+      simulate_waves(circuit, waves_of_vectors(circuit, test.v1, test.v2));
+  return classify_path_detection(circuit, path, waves) !=
+         DetectionClass::kNone;
 }
+
+namespace internal {
+
+PiCompletion complete_pi_assignment(const Circuit& circuit,
+                                    ImplicationEngine& engine,
+                                    std::uint64_t max_nodes, ExecGuard* guard,
+                                    std::uint64_t& nodes) {
+  const auto& pis = circuit.inputs();
+  const auto recurse = [&](const auto& self, std::size_t index) -> bool {
+    if (++nodes > max_nodes)
+      throw GuardTrippedError(AbortReason::kWorkBudget);
+    if (guard != nullptr && !guard->check())
+      throw GuardTrippedError(guard->reason());
+    while (index < pis.size() && is_known(engine.value(pis[index]))) ++index;
+    if (index == pis.size()) return true;
+    for (const Value3 value : {Value3::kZero, Value3::kOne}) {
+      const std::size_t mark = engine.mark();
+      if (engine.assign(pis[index], value) && self(self, index + 1))
+        return true;
+      engine.rollback(mark);
+    }
+    return false;
+  };
+  PiCompletion completion;
+  try {
+    if (!recurse(recurse, 0)) {
+      completion.verdict = AtpgVerdict::kRedundant;
+      return completion;
+    }
+  } catch (const GuardTrippedError& error) {
+    completion.abort_reason = error.reason();
+    return completion;
+  }
+  completion.verdict = AtpgVerdict::kTestable;
+  completion.pis.resize(pis.size());
+  for (std::size_t i = 0; i < pis.size(); ++i)
+    completion.pis[i] = to_bool(engine.value(pis[i]));
+  return completion;
+}
+
+}  // namespace internal
 
 }  // namespace rd

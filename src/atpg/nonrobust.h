@@ -53,19 +53,33 @@ NonRobustSearch search_nonrobust_test(const Circuit& circuit,
                                       std::uint64_t max_nodes = 1u << 26,
                                       ExecGuard* guard = nullptr);
 
-/// Complete search for a non-robust test; std::nullopt proves the path
-/// non-robustly untestable.  Throws GuardTrippedError if `max_nodes`
-/// search nodes are exceeded (large circuits only).  `nodes_used`,
-/// when non-null, receives the number of search nodes expanded —
-/// written on every exit, including the budget-exceeded throw.  Prefer
-/// search_nonrobust_test for non-throwing typed outcomes.
-std::optional<NonRobustTest> find_nonrobust_test(
-    const Circuit& circuit, const LogicalPath& path,
-    std::uint64_t max_nodes = 1u << 26, std::uint64_t* nodes_used = nullptr);
-
-/// Validates a candidate test by plain simulation of v2 against the
-/// (NR1)/(NR2) conditions and of v1 against the launch condition.
+/// Validates a candidate test with the path fault simulator: <v1, v2>
+/// must detect the path at least non-robustly (classify_path_detection).
 bool nonrobust_test_is_valid(const Circuit& circuit, const LogicalPath& path,
                              const NonRobustTest& test);
+
+class ImplicationEngine;
+
+namespace internal {
+
+/// Outcome of complete_pi_assignment; `pis` (index-aligned with
+/// circuit.inputs()) is filled on kTestable only.
+struct PiCompletion {
+  AtpgVerdict verdict = AtpgVerdict::kAborted;
+  std::vector<bool> pis;
+  AbortReason abort_reason = AbortReason::kNone;
+};
+
+/// The PI-completion branch-and-bound shared by the non-robust and
+/// transition generators: extends `engine`'s partial assignment to
+/// every PI, in index order, 0 before 1, each decision pruned by
+/// implication.  Each node adds one to the running total `nodes` and
+/// polls `guard`; the search aborts once `nodes` exceeds `max_nodes`.
+PiCompletion complete_pi_assignment(const Circuit& circuit,
+                                    ImplicationEngine& engine,
+                                    std::uint64_t max_nodes, ExecGuard* guard,
+                                    std::uint64_t& nodes);
+
+}  // namespace internal
 
 }  // namespace rd

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "atpg/path_fault_sim.h"
+
 namespace rd {
 
 namespace {
@@ -61,7 +63,7 @@ class RobustChecker {
   /// constraint is only declared violated when every PI in its support
   /// is assigned (the evaluation is then exact).
   Status check() const {
-    const auto waves = simulate_waves();
+    const auto waves = simulate_waves(circuit_, pi_waves_);
     bool undecided = false;
     bool expected = path_.final_pi_value;
     for (LeadId lead_id : path_.path.leads) {
@@ -151,21 +153,6 @@ class RobustChecker {
     return true;
   }
 
-  std::vector<Wave> simulate_waves() const {
-    std::vector<Wave> waves(circuit_.num_gates(), Wave::unknown());
-    for (std::size_t i = 0; i < pi_waves_.size(); ++i)
-      waves[circuit_.inputs()[i]] = pi_waves_[i];
-    std::vector<Wave> scratch;
-    for (GateId id : circuit_.topo_order()) {
-      const Gate& gate = circuit_.gate(id);
-      if (gate.type == GateType::kInput) continue;
-      scratch.clear();
-      for (GateId fanin : gate.fanins) scratch.push_back(waves[fanin]);
-      waves[id] = eval_gate_wave(gate.type, scratch.data(), scratch.size());
-    }
-    return waves;
-  }
-
   const Circuit& circuit_;
   const LogicalPath& path_;
   std::uint64_t max_nodes_;
@@ -199,70 +186,15 @@ RobustSearch search_robust_test(const Circuit& circuit,
   return result;
 }
 
-std::optional<RobustTest> find_robust_test(const Circuit& circuit,
-                                           const LogicalPath& path,
-                                           std::uint64_t max_nodes,
-                                           std::uint64_t* nodes_used) {
-  RobustSearch result = search_robust_test(circuit, path, max_nodes);
-  if (nodes_used != nullptr) *nodes_used = result.nodes;
-  if (result.verdict == AtpgVerdict::kAborted)
-    throw GuardTrippedError(result.abort_reason);
-  return std::move(result.test);
-}
-
-bool is_robustly_testable(const Circuit& circuit, const LogicalPath& path) {
-  return find_robust_test(circuit, path).has_value();
-}
-
 bool robust_test_is_valid(const Circuit& circuit, const LogicalPath& path,
                           const RobustTest& test) {
   if (test.size() != circuit.inputs().size()) return false;
-  // Re-simulate and apply the full condition check with every PI
-  // assigned: every constraint is decisive.
-  std::vector<Wave> waves(circuit.num_gates(), Wave::unknown());
-  for (std::size_t i = 0; i < test.size(); ++i) {
-    const Wave& wave = test[i];
+  for (const Wave& wave : test)
     if (!wave.clean || !is_known(wave.initial) || !is_known(wave.final))
       return false;
-    waves[circuit.inputs()[i]] = wave;
-  }
-  std::vector<Wave> scratch;
-  for (GateId id : circuit.topo_order()) {
-    const Gate& gate = circuit.gate(id);
-    if (gate.type == GateType::kInput) continue;
-    scratch.clear();
-    for (GateId fanin : gate.fanins) scratch.push_back(waves[fanin]);
-    waves[id] = eval_gate_wave(gate.type, scratch.data(), scratch.size());
-  }
-
-  const GateId pi = path_pi(circuit, path.path);
-  const Wave& launch = waves[pi];
-  if (!(launch.has_transition() && to_bool(launch.final) == path.final_pi_value))
-    return false;
-  bool expected = path.final_pi_value;
-  for (LeadId lead_id : path.path.leads) {
-    const Lead& lead = circuit.lead(lead_id);
-    const Gate& sink = circuit.gate(lead.sink);
-    const Wave& on_path = waves[lead.driver];
-    if (!(on_path.clean && on_path.has_transition() &&
-          to_bool(on_path.final) == expected))
-      return false;
-    if (has_controlling_value(sink.type)) {
-      const bool nc = noncontrolling_value(sink.type);
-      const bool on_path_final_nc = expected == nc;
-      for (std::uint32_t pin = 0; pin < sink.fanins.size(); ++pin) {
-        if (pin == lead.pin) continue;
-        const Wave& wave = waves[sink.fanins[pin]];
-        if (on_path_final_nc) {
-          if (!(wave.clean && wave.final == to_value3(nc))) return false;
-        } else {
-          if (!(wave.is_steady() && wave.final == to_value3(nc))) return false;
-        }
-      }
-    }
-    if (inverts(sink.type)) expected = !expected;
-  }
-  return true;
+  const auto waves = simulate_waves(circuit, test);
+  return classify_path_detection(circuit, path, waves) ==
+         DetectionClass::kRobust;
 }
 
 }  // namespace rd

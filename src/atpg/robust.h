@@ -53,23 +53,10 @@ RobustSearch search_robust_test(const Circuit& circuit,
                                 std::uint64_t max_nodes = 1u << 26,
                                 ExecGuard* guard = nullptr);
 
-/// Searches for a robust test for the logical path.  Returns the test
-/// if one exists, std::nullopt if the path is provably robust
-/// untestable.  `max_nodes` bounds the search tree (throws
-/// GuardTrippedError when exceeded — only possible on large circuits).
-/// `nodes_used`, when non-null, receives the number of search nodes
-/// expanded — written on every exit, including the budget-exceeded
-/// throw.  Prefer search_robust_test for non-throwing typed outcomes.
-std::optional<RobustTest> find_robust_test(const Circuit& circuit,
-                                           const LogicalPath& path,
-                                           std::uint64_t max_nodes = 1u << 26,
-                                           std::uint64_t* nodes_used = nullptr);
-
-/// Convenience predicate.
-bool is_robustly_testable(const Circuit& circuit, const LogicalPath& path);
-
 /// Verifies that a concrete PI waveform assignment robustly tests the
-/// path (used by tests to validate found tests independently).
+/// path: every PI wave is S0, S1, R or F and the path fault simulator
+/// (classify_path_detection) grades the test kRobust.  Used by tests to
+/// validate found tests with code the search does not share.
 bool robust_test_is_valid(const Circuit& circuit, const LogicalPath& path,
                           const RobustTest& test);
 

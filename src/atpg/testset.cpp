@@ -1,8 +1,5 @@
 #include "atpg/testset.h"
 
-#include <optional>
-#include <stdexcept>
-
 #include "atpg/nonrobust.h"
 #include "atpg/robust.h"
 #include "util/stopwatch.h"
@@ -47,50 +44,55 @@ GeneratedTestSet generate_test_set(const Circuit& circuit,
     return options.guard != nullptr && options.guard->tripped();
   };
 
-  // Robust pass with greedy compaction.
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    if (guard_tripped()) break;
-    if (result.detection[i] == DetectionClass::kRobust) continue;
-    const RobustSearch search = search_robust_test(
-        circuit, paths[i], options.max_robust_nodes, options.guard);
-    result.robust_nodes += search.nodes;
-    if (search.verdict == AtpgVerdict::kAborted) {
-      if (search.abort_reason == AbortReason::kWorkBudget &&
-          !guard_tripped()) {
-        ++result.robust_budget_exceeded;
-        continue;  // budget exceeded: leave for the non-robust pass
-      }
-      break;  // guard trip: stop the whole generation
-    }
-    if (!search.test.has_value()) continue;
-    const int index = static_cast<int>(result.tests.size());
-    result.tests.push_back(std::move(*search.test));
-    apply_test(circuit, paths, result.tests.back(), index, result);
-  }
-
-  // Non-robust fallback for whatever is left.
-  if (options.allow_nonrobust) {
+  // One pass: search every path whose detection is still below
+  // `target`, keep each found test and simulate it against every path
+  // (greedy compaction).  A per-path node-budget abort only skips that
+  // path; a guard trip ends the pass, and the next pass stops at once.
+  const auto run_pass = [&](DetectionClass target, std::uint64_t& nodes,
+                            std::size_t& budget_exceeded,
+                            const auto& search, const auto& to_waves) {
     for (std::size_t i = 0; i < paths.size(); ++i) {
-      if (guard_tripped()) break;
-      if (result.detection[i] != DetectionClass::kNone) continue;
-      const NonRobustSearch search = search_nonrobust_test(
-          circuit, paths[i], options.max_nonrobust_nodes, options.guard);
-      result.nonrobust_nodes += search.nodes;
-      if (search.verdict == AtpgVerdict::kAborted) {
-        if (search.abort_reason == AbortReason::kWorkBudget &&
+      if (guard_tripped()) return;
+      if (result.detection[i] >= target) continue;
+      auto found = search(paths[i]);
+      nodes += found.nodes;
+      if (found.verdict == AtpgVerdict::kAborted) {
+        if (found.abort_reason == AbortReason::kWorkBudget &&
             !guard_tripped()) {
-          ++result.nonrobust_budget_exceeded;
+          ++budget_exceeded;
           continue;
         }
-        break;
+        return;
       }
-      if (!search.test.has_value()) continue;
+      if (!found.test.has_value()) continue;
       const int index = static_cast<int>(result.tests.size());
-      result.tests.push_back(
-          waves_of_vectors(circuit, search.test->v1, search.test->v2));
+      result.tests.push_back(to_waves(*found.test));
       apply_test(circuit, paths, result.tests.back(), index, result);
     }
-  }
+  };
+
+  // Robust tests first; the non-robust fallback then targets whatever
+  // is still undetected.
+  run_pass(
+      DetectionClass::kRobust, result.robust_nodes,
+      result.robust_budget_exceeded,
+      [&](const LogicalPath& path) {
+        return search_robust_test(circuit, path, options.max_robust_nodes,
+                                  options.guard);
+      },
+      [](RobustTest& test) { return std::move(test); });
+  if (options.allow_nonrobust)
+    run_pass(
+        DetectionClass::kNonRobust, result.nonrobust_nodes,
+        result.nonrobust_budget_exceeded,
+        [&](const LogicalPath& path) {
+          return search_nonrobust_test(circuit, path,
+                                       options.max_nonrobust_nodes,
+                                       options.guard);
+        },
+        [&](const NonRobustTest& test) {
+          return waves_of_vectors(circuit, test.v1, test.v2);
+        });
 
   if (guard_tripped()) {
     result.completed = false;

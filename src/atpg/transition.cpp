@@ -1,47 +1,10 @@
 #include "atpg/transition.h"
 
-#include <functional>
-#include <stdexcept>
-
-#include "atpg/stuck_at.h"
+#include "atpg/nonrobust.h"
 #include "sim/implication.h"
 #include "sim/logic_sim.h"
 
 namespace rd {
-
-namespace {
-
-/// Completes the engine's partial assignment to full PI values by
-/// branch-and-bound; returns the PI vector or nullopt if no completion
-/// is consistent.  Throws GuardTrippedError on exhaustion; `nodes_out`
-/// accumulates expanded nodes on every exit.
-std::optional<std::vector<bool>> complete_assignment(
-    const Circuit& circuit, ImplicationEngine& engine,
-    std::uint64_t max_nodes, ExecGuard* guard, std::uint64_t& nodes_out) {
-  const auto& pis = circuit.inputs();
-  std::uint64_t& nodes = nodes_out;
-  std::function<bool(std::size_t)> recurse = [&](std::size_t index) -> bool {
-    if (++nodes > max_nodes)
-      throw GuardTrippedError(AbortReason::kWorkBudget);
-    if (guard != nullptr && !guard->check())
-      throw GuardTrippedError(guard->reason());
-    while (index < pis.size() && is_known(engine.value(pis[index]))) ++index;
-    if (index == pis.size()) return true;
-    for (const Value3 value : {Value3::kZero, Value3::kOne}) {
-      const std::size_t mark = engine.mark();
-      if (engine.assign(pis[index], value) && recurse(index + 1)) return true;
-      engine.rollback(mark);
-    }
-    return false;
-  };
-  if (!recurse(0)) return std::nullopt;
-  std::vector<bool> assignment(pis.size());
-  for (std::size_t i = 0; i < pis.size(); ++i)
-    assignment[i] = to_bool(engine.value(pis[i]));
-  return assignment;
-}
-
-}  // namespace
 
 std::vector<TransitionFault> all_transition_faults(const Circuit& circuit) {
   std::vector<TransitionFault> faults;
@@ -80,20 +43,14 @@ TransitionSearch search_transition_test(const Circuit& circuit,
     result.verdict = AtpgVerdict::kRedundant;
     return result;
   }
-  std::optional<std::vector<bool>> v1;
-  try {
-    v1 = complete_assignment(circuit, engine, max_nodes, guard, result.nodes);
-  } catch (const GuardTrippedError& error) {
-    result.abort_reason = error.reason();
-    return result;
-  }
-  if (!v1.has_value()) {
-    result.verdict = AtpgVerdict::kRedundant;
-    return result;
-  }
+  internal::PiCompletion v1 = internal::complete_pi_assignment(
+      circuit, engine, max_nodes, guard, result.nodes);
+  result.verdict = v1.verdict;
+  result.abort_reason = v1.abort_reason;
+  if (v1.verdict != AtpgVerdict::kTestable) return result;
 
   TransitionTest test;
-  test.v1 = *v1;
+  test.v1 = std::move(v1.pis);
   test.v2.resize(circuit.inputs().size());
   for (std::size_t i = 0; i < test.v2.size(); ++i) {
     const Value3 value = detection.test[i];
@@ -101,18 +58,8 @@ TransitionSearch search_transition_test(const Circuit& circuit,
     // single-site transition where possible.
     test.v2[i] = is_known(value) ? to_bool(value) : test.v1[i];
   }
-  result.verdict = AtpgVerdict::kTestable;
   result.test = std::move(test);
   return result;
-}
-
-std::optional<TransitionTest> find_transition_test(
-    const Circuit& circuit, const TransitionFault& fault,
-    std::uint64_t max_nodes) {
-  TransitionSearch result = search_transition_test(circuit, fault, max_nodes);
-  if (result.verdict == AtpgVerdict::kAborted)
-    throw GuardTrippedError(result.abort_reason);
-  return std::move(result.test);
 }
 
 bool transition_test_is_valid(const Circuit& circuit,
@@ -136,31 +83,20 @@ double transition_coverage(const Circuit& circuit,
   if (faults.empty()) return 100.0;
   std::vector<bool> detected(faults.size(), false);
   for (const auto& waves : tests) {
-    if (waves.size() != circuit.inputs().size()) continue;
-    std::vector<bool> v1(waves.size());
-    std::vector<bool> v2(waves.size());
+    TransitionTest test;
     bool usable = true;
-    for (std::size_t i = 0; i < waves.size(); ++i) {
-      if (!is_known(waves[i].initial) || !is_known(waves[i].final)) {
+    for (const Wave& wave : waves) {
+      if (!is_known(wave.initial) || !is_known(wave.final)) {
         usable = false;
         break;
       }
-      v1[i] = to_bool(waves[i].initial);
-      v2[i] = to_bool(waves[i].final);
+      test.v1.push_back(to_bool(wave.initial));
+      test.v2.push_back(to_bool(wave.final));
     }
     if (!usable) continue;
-    const auto before = simulate(circuit, v1);
-    std::vector<Value3> v2_values(v2.size());
-    for (std::size_t i = 0; i < v2.size(); ++i) v2_values[i] = to_value3(v2[i]);
-    for (std::size_t f = 0; f < faults.size(); ++f) {
-      if (detected[f]) continue;
-      const bool initial = faults[f].slow_to_rise ? false : true;
-      if (before[faults[f].gate] != initial) continue;  // no launch
-      if (detects_fault(circuit,
-                        StuckFault::on_output(faults[f].gate, initial),
-                        v2_values))
+    for (std::size_t f = 0; f < faults.size(); ++f)
+      if (!detected[f] && transition_test_is_valid(circuit, faults[f], test))
         detected[f] = true;
-    }
   }
   std::size_t count = 0;
   for (const bool d : detected) count += d;

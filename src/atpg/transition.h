@@ -57,13 +57,6 @@ TransitionSearch search_transition_test(const Circuit& circuit,
                                         std::uint64_t max_nodes = 1u << 22,
                                         ExecGuard* guard = nullptr);
 
-/// Throwing convenience wrapper: nullopt = untestable; throws
-/// GuardTrippedError on budget/guard exhaustion.  Prefer
-/// search_transition_test for non-throwing typed outcomes.
-std::optional<TransitionTest> find_transition_test(
-    const Circuit& circuit, const TransitionFault& fault,
-    std::uint64_t max_nodes = 1u << 22);
-
 /// Checks a candidate test by simulation.
 bool transition_test_is_valid(const Circuit& circuit,
                               const TransitionFault& fault,

@@ -117,39 +117,6 @@ inline const CompiledCircuit* resolve_compiled(
           "ClassifyOptions::compiled lacks the input sort's side tables");
     return options.compiled;
   }
-  // Size-thresholded per-thread compile cache for the common
-  // sort-free compile (every criterion except kInputSort shares one
-  // view).  On microsecond circuits (c17-sized) the private per-run
-  // compile is comparable to the classification itself, and callers
-  // that classify the same Circuit repeatedly — benches, the CLI's
-  // validate double-run, tests — pay it every time.  Keyed by Circuit::build_id(), which is process-
-  // unique and dies with the circuit, so a stale slot can never be
-  // hit; a finalized circuit is structurally immutable, so a hit is
-  // bit-identical to a fresh compile and verdicts/stats are unchanged.
-  // Two slots (insert-at-front LRU): a returned pointer stays valid
-  // until the same thread misses twice more, and the drivers complete
-  // synchronously before any caller could do that.  Large circuits
-  // skip the cache — their compile is noise and the tables are worth
-  // real memory.
-  constexpr std::size_t kCompileCacheGateLimit = 1u << 14;
-  if (options.criterion != Criterion::kInputSort &&
-      circuit.num_gates() <= kCompileCacheGateLimit) {
-    struct Slot {
-      std::uint64_t build_id = 0;
-      std::unique_ptr<const CompiledCircuit> compiled;
-    };
-    thread_local Slot slots[2];
-    for (Slot& slot : slots)
-      if (slot.compiled != nullptr && slot.build_id == circuit.build_id()) {
-        if (&slot != &slots[0]) std::swap(slot, slots[0]);
-        return slots[0].compiled.get();
-      }
-    slots[1] = std::move(slots[0]);
-    slots[0].build_id = circuit.build_id();
-    slots[0].compiled = std::make_unique<const CompiledCircuit>(
-        compile_for_classify(circuit, options));
-    return slots[0].compiled.get();
-  }
   owned = std::make_unique<const CompiledCircuit>(
       compile_for_classify(circuit, options));
   return owned.get();

@@ -72,6 +72,35 @@ RdIdentification classify_with_sort(const Circuit& circuit, InputSort sort,
   return RdIdentification{std::move(sort), std::move(classify)};
 }
 
+/// Heuristic 2 end to end, its sort reversed for the inverse control.
+/// A sort cut from an aborted pre-run is not Heuristic 2's sort: the
+/// final run is skipped and the result carries that pre-run's abort.
+RdIdentification identify_with_heuristic2_sort(const Circuit& circuit,
+                                               const ClassifyOptions& base,
+                                               Rng* tie_breaker,
+                                               bool reversed) {
+  Stopwatch watch;
+  ClassifyResult fs_run;
+  ClassifyResult nr_run;
+  InputSort sort =
+      heuristic2_sort(circuit, tie_breaker, &fs_run, &nr_run, &base);
+  if (reversed) sort = sort.reversed();
+  const double sort_seconds = watch.elapsed_seconds();
+  RdIdentification result;
+  if (fs_run.completed && nr_run.completed) {
+    result = classify_with_sort(circuit, std::move(sort), base);
+  } else {
+    const ClassifyResult& aborted = fs_run.completed ? nr_run : fs_run;
+    result.sort = std::move(sort);
+    result.classify.completed = false;
+    result.classify.abort_reason = aborted.abort_reason;
+    result.classify.total_logical = aborted.total_logical;
+  }
+  result.sort_seconds = sort_seconds;
+  result.prerun_work = fs_run.work + nr_run.work;
+  return result;
+}
+
 }  // namespace
 
 RdIdentification identify_rd_heuristic1(const Circuit& circuit,
@@ -89,34 +118,15 @@ RdIdentification identify_rd_heuristic1(const Circuit& circuit,
 RdIdentification identify_rd_heuristic2(const Circuit& circuit,
                                         const ClassifyOptions& base,
                                         Rng* tie_breaker) {
-  Stopwatch watch;
-  ClassifyResult fs_run;
-  ClassifyResult nr_run;
-  InputSort sort =
-      heuristic2_sort(circuit, tie_breaker, &fs_run, &nr_run, &base);
-  const double sort_seconds = watch.elapsed_seconds();
-  RdIdentification result =
-      classify_with_sort(circuit, std::move(sort), base);
-  result.sort_seconds = sort_seconds;
-  result.prerun_work = fs_run.work + nr_run.work;
-  return result;
+  return identify_with_heuristic2_sort(circuit, base, tie_breaker,
+                                       /*reversed=*/false);
 }
 
 RdIdentification identify_rd_heuristic2_inverse(const Circuit& circuit,
                                                 const ClassifyOptions& base,
                                                 Rng* tie_breaker) {
-  Stopwatch watch;
-  ClassifyResult fs_run;
-  ClassifyResult nr_run;
-  InputSort sort =
-      heuristic2_sort(circuit, tie_breaker, &fs_run, &nr_run, &base)
-          .reversed();
-  const double sort_seconds = watch.elapsed_seconds();
-  RdIdentification result =
-      classify_with_sort(circuit, std::move(sort), base);
-  result.sort_seconds = sort_seconds;
-  result.prerun_work = fs_run.work + nr_run.work;
-  return result;
+  return identify_with_heuristic2_sort(circuit, base, tie_breaker,
+                                       /*reversed=*/true);
 }
 
 ClassifyResult classify_fus(const Circuit& circuit,

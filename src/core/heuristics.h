@@ -61,13 +61,17 @@ RdIdentification identify_rd_heuristic1(const Circuit& circuit,
                                         Rng* tie_breaker = nullptr);
 
 /// Heuristic 2 end-to-end (three classifier runs total, as the paper
-/// notes when discussing Table II's CPU times).
+/// notes when discussing Table II's CPU times).  If either pre-run
+/// aborts, the final run is skipped: `classify` reports completed =
+/// false with that pre-run's abort_reason, and prerun_work counts the
+/// pre-runs' work.
 RdIdentification identify_rd_heuristic2(const Circuit& circuit,
                                         const ClassifyOptions& base = {},
                                         Rng* tie_breaker = nullptr);
 
 /// The control experiment of Table I's last column: Heuristic 2's sort
-/// reversed.
+/// reversed (aborted pre-runs are reported as for
+/// identify_rd_heuristic2).
 RdIdentification identify_rd_heuristic2_inverse(const Circuit& circuit,
                                                 const ClassifyOptions& base = {},
                                                 Rng* tie_breaker = nullptr);

@@ -11,6 +11,19 @@
 
 namespace rd {
 
+namespace {
+
+/// True if the search found a test; an aborted search throws its typed
+/// cause, since the report's bands need every verdict.
+template <typename Search>
+bool found_test(const Search& search) {
+  if (search.verdict == AtpgVerdict::kAborted)
+    throw GuardTrippedError(search.abort_reason);
+  return search.verdict == AtpgVerdict::kTestable;
+}
+
+}  // namespace
+
 PathClassReport classify_report(const Circuit& circuit, const InputSort& sort,
                                 const ReportOptions& options) {
   // Kept-path keys from the classifier.
@@ -50,11 +63,11 @@ PathClassReport classify_report(const Circuit& circuit, const InputSort& sort,
             continue;
           }
           // Kept: subclassify by testability.
-          if (is_robustly_testable(circuit, path)) {
+          if (found_test(search_robust_test(circuit, path,
+                                            options.max_atpg_nodes))) {
             ++report.robust;
-          } else if (find_nonrobust_test(circuit, path,
-                                         options.max_atpg_nodes)
-                         .has_value()) {
+          } else if (found_test(search_nonrobust_test(
+                         circuit, path, options.max_atpg_nodes))) {
             ++report.nonrobust_only;
           } else {
             ++report.kept_only;

@@ -48,7 +48,8 @@ struct ReportOptions {
   /// beyond — reports need full enumeration to be meaningful).
   std::uint64_t max_paths = 1u << 20;
 
-  /// Budget per robust/non-robust ATPG query.
+  /// Node budget per robust and per non-robust ATPG query; a query
+  /// that exhausts it makes classify_report throw GuardTrippedError.
   std::uint64_t max_atpg_nodes = 1u << 22;
 };
 

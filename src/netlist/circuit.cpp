@@ -1,7 +1,6 @@
 #include "netlist/circuit.h"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -137,8 +136,6 @@ void Circuit::finalize() {
     max_level_ = std::max(max_level_, level);
   }
 
-  static std::atomic<std::uint64_t> next_build_id{1};
-  build_id_ = next_build_id.fetch_add(1, std::memory_order_relaxed);
   finalized_ = true;
 }
 

@@ -67,13 +67,6 @@ class Circuit {
 
   bool finalized() const { return finalized_; }
 
-  /// Process-unique stamp assigned by finalize() (0 before), never
-  /// reused across Circuit instances or re-finalizations.  A finalized
-  /// circuit is structurally immutable, so the stamp identifies its
-  /// structure for the lifetime of the process — compile caches key on
-  /// it instead of the address, which outlives destruction.
-  std::uint64_t build_id() const { return build_id_; }
-
   // ---- read access ----
 
   const std::string& name() const { return name_; }
@@ -120,7 +113,6 @@ class Circuit {
   std::vector<std::uint32_t> topo_rank_;
   std::vector<std::uint32_t> levels_;
   std::uint32_t max_level_ = 0;
-  std::uint64_t build_id_ = 0;
   bool finalized_ = false;
 };
 

@@ -91,14 +91,15 @@ TEST(Robust, PaperExampleHasExactlyFiveRobustPaths) {
   ASSERT_EQ(paths.size(), 8u);
   std::size_t robust = 0;
   for (const auto& path : paths)
-    if (is_robustly_testable(circuit, path)) ++robust;
+    if (search_robust_test(circuit, path).verdict == AtpgVerdict::kTestable)
+      ++robust;
   EXPECT_EQ(robust, 5u);  // Example 3: coverage 5/6 for σ, 5/5 for σ'
 }
 
 TEST(Robust, FoundTestsValidateIndependently) {
   const Circuit circuit = paper_example_circuit();
   for (const auto& path : all_logical_paths(circuit)) {
-    const auto test = find_robust_test(circuit, path);
+    const auto test = search_robust_test(circuit, path).test;
     if (test.has_value()) {
       EXPECT_TRUE(robust_test_is_valid(circuit, path, *test))
           << path_to_string(circuit, path);
@@ -124,7 +125,8 @@ TEST(Robust, RobustImpliesNonRobustTestable) {
   }
   for (const Circuit& circuit : circuits) {
     for (const auto& path : all_logical_paths(circuit)) {
-      if (is_robustly_testable(circuit, path)) {
+      if (search_robust_test(circuit, path).verdict ==
+          AtpgVerdict::kTestable) {
         EXPECT_TRUE(
             exactly_sensitizable(circuit, path, Criterion::kNonRobust))
             << circuit.name() << ": " << path_to_string(circuit, path);
@@ -138,14 +140,14 @@ TEST(Robust, C17IsFullyRobustlyTestable) {
   // testable.
   const Circuit circuit = c17();
   for (const auto& path : all_logical_paths(circuit))
-    EXPECT_TRUE(is_robustly_testable(circuit, path))
+    EXPECT_EQ(search_robust_test(circuit, path).verdict, AtpgVerdict::kTestable)
         << path_to_string(circuit, path);
 }
 
 TEST(Robust, RejectsMalformedPath) {
   const Circuit circuit = paper_example_circuit();
   LogicalPath bogus;
-  EXPECT_THROW(find_robust_test(circuit, bogus), std::invalid_argument);
+  EXPECT_THROW(search_robust_test(circuit, bogus), std::invalid_argument);
 }
 
 // --- Stuck-at PODEM --------------------------------------------------------

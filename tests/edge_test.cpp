@@ -46,8 +46,9 @@ TEST(Edge, WireCircuitClassifiesAndTests) {
   enumerate_paths(
       circuit, [&](const PhysicalPath& path) { paths.push_back(path); }, 8);
   for (const bool final_value : {false, true})
-    EXPECT_TRUE(
-        is_robustly_testable(circuit, LogicalPath{paths[0], final_value}));
+    EXPECT_EQ(
+        search_robust_test(circuit, LogicalPath{paths[0], final_value}).verdict,
+        AtpgVerdict::kTestable);
 }
 
 TEST(Edge, DanglingInputContributesNoPaths) {

@@ -11,6 +11,7 @@
 #include "core/heuristics.h"
 #include "gen/examples.h"
 #include "gen/iscas_like.h"
+#include "paths/counting.h"
 #include "util/rng.h"
 
 namespace rd {
@@ -100,6 +101,35 @@ TEST(Heuristics, OrderingHoldsOnRandomCircuits) {
     for (const auto* result : {&heu1, &heu2}) {
       EXPECT_LE(result->classify.kept_paths, fs.kept_paths) << seed;
       EXPECT_GE(result->classify.kept_paths, nr.kept_paths) << seed;
+    }
+  }
+}
+
+TEST(Heuristics, Heuristic2ReportsAnAbortedPrerun) {
+  // At this work limit a pre-run aborts, while the final run under the
+  // sort cut from it would complete with a wrong must-test count.  The
+  // result must carry the pre-run's abort instead.
+  const Circuit circuit = make_benchmark("c432");
+  for (const std::size_t threads : {1u, 4u}) {
+    ClassifyOptions base;
+    base.work_limit = 190000;
+    base.num_threads = threads;
+    ClassifyResult fs_run;
+    ClassifyResult nr_run;
+    heuristic2_sort(circuit, nullptr, &fs_run, &nr_run, &base);
+    ASSERT_FALSE(fs_run.completed && nr_run.completed);
+    for (const bool inverse : {false, true}) {
+      Rng rng(1);
+      const RdIdentification rd =
+          inverse ? identify_rd_heuristic2_inverse(circuit, base, &rng)
+                  : identify_rd_heuristic2(circuit, base, &rng);
+      EXPECT_FALSE(rd.classify.completed);
+      EXPECT_EQ(rd.classify.abort_reason, AbortReason::kWorkBudget);
+      EXPECT_EQ(rd.classify.kept_paths, 0u);
+      EXPECT_EQ(rd.classify.work, 0u);
+      EXPECT_EQ(rd.classify.total_logical,
+                PathCounts(circuit).total_logical());
+      if (threads == 1) EXPECT_EQ(rd.prerun_work, fs_run.work + nr_run.work);
     }
   }
 }

@@ -214,7 +214,8 @@ TEST(Integration, CoverageAccountingOnPaperExample) {
     LogicalPath path;
     path.path.leads.assign(key.begin(), key.end() - 1);
     path.final_pi_value = key.back() != 0;
-    if (is_robustly_testable(circuit, path)) ++robust;
+    if (search_robust_test(circuit, path).verdict == AtpgVerdict::kTestable)
+      ++robust;
   }
   EXPECT_EQ(robust, 5u);  // 100% coverage
 }

@@ -599,7 +599,8 @@ TEST_P(HierarchyProperty, RobustWithinNonRobustWithinFs) {
       },
       1u << 14);
   for (const auto& path : paths) {
-    const bool robust = is_robustly_testable(circuit, path);
+    const bool robust =
+        search_robust_test(circuit, path).verdict == AtpgVerdict::kTestable;
     const bool non_robust =
         exactly_sensitizable(circuit, path, Criterion::kNonRobust);
     const bool fs = exactly_sensitizable(

@@ -7,6 +7,7 @@
 #include "core/report.h"
 #include "gen/examples.h"
 #include "gen/iscas_like.h"
+#include "util/exec_guard.h"
 
 namespace rd {
 namespace {
@@ -91,6 +92,20 @@ TEST(Report, ThrowsOnOversizedCircuit) {
   options.max_paths = 64;  // way below c432-like's path count
   EXPECT_THROW(classify_report(circuit, heuristic1_sort(circuit), options),
                std::runtime_error);
+}
+
+TEST(Report, AtpgNodeBudgetBoundsTheRobustSearch) {
+  // Every kept path of the paper example is robustly testable, so the
+  // budget can only trip in the robust search.
+  const Circuit circuit = paper_example_circuit();
+  ReportOptions options;
+  options.max_atpg_nodes = 0;
+  try {
+    classify_report(circuit, heuristic2_sort(circuit), options);
+    FAIL() << "expected a typed abort";
+  } catch (const GuardTrippedError& error) {
+    EXPECT_EQ(error.reason(), AbortReason::kWorkBudget);
+  }
 }
 
 }  // namespace

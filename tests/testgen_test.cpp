@@ -8,6 +8,7 @@
 #include "atpg/path_fault_sim.h"
 #include "atpg/robust.h"
 #include "atpg/testset.h"
+#include "atpg/transition.h"
 #include "core/exact.h"
 #include "gen/examples.h"
 #include "gen/iscas_like.h"
@@ -52,7 +53,7 @@ TEST(NonRobustAtpg, AgreesWithExactCharacterization) {
     for (const LogicalPath& path : all_logical_paths(circuit)) {
       const bool exact =
           exactly_sensitizable(circuit, path, Criterion::kNonRobust);
-      const auto test = find_nonrobust_test(circuit, path);
+      const auto test = search_nonrobust_test(circuit, path).test;
       ASSERT_EQ(test.has_value(), exact)
           << circuit.name() << ": " << path_to_string(circuit, path);
       if (test.has_value()) {
@@ -72,7 +73,7 @@ TEST(NonRobustAtpg, DashedPathOfThePaperIsUntestable) {
     const bool deep_c_rising =
         text.find("c (R) -> g1") == 0;
     const bool expected_testable = !through_b && !deep_c_rising;
-    EXPECT_EQ(find_nonrobust_test(circuit, path).has_value(),
+    EXPECT_EQ(search_nonrobust_test(circuit, path).test.has_value(),
               expected_testable)
         << text;
   }
@@ -81,7 +82,7 @@ TEST(NonRobustAtpg, DashedPathOfThePaperIsUntestable) {
 TEST(PathFaultSim, RobustTestsClassifyAsRobust) {
   for (const Circuit& circuit : small_circuits()) {
     for (const LogicalPath& path : all_logical_paths(circuit)) {
-      const auto test = find_robust_test(circuit, path);
+      const auto test = search_robust_test(circuit, path).test;
       if (!test.has_value()) continue;
       const auto detection = simulate_path_test(circuit, {path}, *test);
       ASSERT_EQ(detection.size(), 1u);
@@ -94,7 +95,7 @@ TEST(PathFaultSim, RobustTestsClassifyAsRobust) {
 TEST(PathFaultSim, NonRobustTestsClassifyAtLeastNonRobust) {
   for (const Circuit& circuit : small_circuits()) {
     for (const LogicalPath& path : all_logical_paths(circuit)) {
-      const auto test = find_nonrobust_test(circuit, path);
+      const auto test = search_nonrobust_test(circuit, path).test;
       if (!test.has_value()) continue;
       const auto waves = waves_of_vectors(circuit, test->v1, test->v2);
       const auto detection = simulate_path_test(circuit, {path}, waves);
@@ -109,7 +110,7 @@ TEST(PathFaultSim, WrongPolarityIsNotDetected) {
   const Circuit circuit = c17();
   const auto paths = all_logical_paths(circuit);
   for (const LogicalPath& path : paths) {
-    const auto test = find_robust_test(circuit, path);
+    const auto test = search_robust_test(circuit, path).test;
     ASSERT_TRUE(test.has_value());
     // The same test cannot detect the opposite-transition fault of the
     // same physical path: its launch direction is wrong.
@@ -179,6 +180,76 @@ TEST(TestSet, NonRobustFallbackOnlyAddsCoverage) {
   }
 }
 
+// ---- pinned search behaviour ---------------------------------------------
+// Any change in a search's decision order, pruning or node accounting
+// moves these numbers.
+
+void expect_pinned_test_set(const Circuit& circuit, std::size_t tests,
+                            std::uint64_t robust_nodes,
+                            const std::vector<DetectionClass>& detection,
+                            const std::vector<int>& detected_by) {
+  const GeneratedTestSet set =
+      generate_test_set(circuit, all_logical_paths(circuit));
+  EXPECT_EQ(set.tests.size(), tests);
+  EXPECT_EQ(set.robust_nodes, robust_nodes);
+  EXPECT_EQ(set.nonrobust_nodes, 0u);
+  EXPECT_EQ(set.detection, detection);
+  EXPECT_EQ(set.detected_by, detected_by);
+}
+
+TEST(TestSet, C17GenerationIsPinned) {
+  expect_pinned_test_set(
+      c17(), 16, 82, std::vector<DetectionClass>(22, DetectionClass::kRobust),
+      {0, 1, 2, 3, 2, 3, 4, 5, 6, 7, 6, 7, 8, 9, 10, 11, 10, 11, 12, 13, 14,
+       15});
+}
+
+TEST(TestSet, PaperExampleGenerationIsPinned) {
+  constexpr DetectionClass R = DetectionClass::kRobust;
+  constexpr DetectionClass N = DetectionClass::kNone;
+  expect_pinned_test_set(paper_example_circuit(), 4, 36,
+                         {R, R, N, N, R, N, R, R},
+                         {0, 1, -1, -1, 2, -1, 2, 3});
+}
+
+// The test sets above never reach the non-robust completion search, so
+// each generator's per-target searches are pinned as well: testable
+// targets and total nodes over every path (robust, non-robust) and
+// every transition fault.
+TEST(AtpgSearch, NodeCountsArePinned) {
+  struct Pin {
+    Circuit circuit;
+    std::size_t robust, nonrobust, transition;
+    std::uint64_t robust_nodes, nonrobust_nodes, transition_nodes;
+  };
+  const Pin pins[] = {{c17(), 22, 22, 22, 120, 70, 191},
+                      {paper_example_circuit(), 5, 5, 9, 39, 8, 74}};
+  for (const Pin& pin : pins) {
+    std::size_t robust = 0, nonrobust = 0, transition = 0;
+    std::uint64_t robust_nodes = 0, nonrobust_nodes = 0, transition_nodes = 0;
+    for (const LogicalPath& path : all_logical_paths(pin.circuit)) {
+      const RobustSearch r = search_robust_test(pin.circuit, path);
+      robust += r.verdict == AtpgVerdict::kTestable;
+      robust_nodes += r.nodes;
+      const NonRobustSearch n = search_nonrobust_test(pin.circuit, path);
+      nonrobust += n.verdict == AtpgVerdict::kTestable;
+      nonrobust_nodes += n.nodes;
+    }
+    for (const TransitionFault& fault : all_transition_faults(pin.circuit)) {
+      const TransitionSearch t = search_transition_test(pin.circuit, fault);
+      transition += t.verdict == AtpgVerdict::kTestable;
+      transition_nodes += t.nodes;
+    }
+    const std::string& name = pin.circuit.name();
+    EXPECT_EQ(robust, pin.robust) << name;
+    EXPECT_EQ(nonrobust, pin.nonrobust) << name;
+    EXPECT_EQ(transition, pin.transition) << name;
+    EXPECT_EQ(robust_nodes, pin.robust_nodes) << name;
+    EXPECT_EQ(nonrobust_nodes, pin.nonrobust_nodes) << name;
+    EXPECT_EQ(transition_nodes, pin.transition_nodes) << name;
+  }
+}
+
 // ---- typed abort outcomes -------------------------------------------------
 
 TEST(RobustAtpg, SearchReportsTypedWorkBudgetAbort) {
@@ -201,19 +272,6 @@ TEST(RobustAtpg, SearchReportsGuardTripReason) {
       circuit, paths.front(), std::uint64_t{1} << 26, &guard);
   EXPECT_EQ(search.verdict, AtpgVerdict::kAborted);
   EXPECT_EQ(search.abort_reason, AbortReason::kMemory);
-}
-
-TEST(RobustAtpg, LegacyWrapperThrowsTypedError) {
-  // find_robust_test keeps its throwing contract, but the exception is
-  // the typed GuardTrippedError, never a string-matched runtime_error.
-  const Circuit circuit = c17();
-  const auto paths = all_logical_paths(circuit);
-  try {
-    find_robust_test(circuit, paths.front(), /*max_nodes=*/0);
-    FAIL() << "expected a typed abort";
-  } catch (const GuardTrippedError& error) {
-    EXPECT_EQ(error.reason(), AbortReason::kWorkBudget);
-  }
 }
 
 TEST(NonRobustAtpg, SearchReportsTypedAbort) {

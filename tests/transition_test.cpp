@@ -64,7 +64,7 @@ TEST(Transition, AtpgAgreesWithExhaustiveOracle) {
   }
   for (const Circuit& circuit : circuits) {
     for (const TransitionFault& fault : all_transition_faults(circuit)) {
-      const auto test = find_transition_test(circuit, fault);
+      const auto test = search_transition_test(circuit, fault).test;
       ASSERT_EQ(test.has_value(), exhaustively_testable(circuit, fault))
           << circuit.name() << " gate " << fault.gate
           << (fault.slow_to_rise ? " STR" : " STF");
@@ -88,10 +88,10 @@ TEST(Transition, RedundantNodeIsUntestable) {
   const GateId org = circuit.add_gate(GateType::kOr, "or", {t1, t2, t3});
   circuit.add_output("y", org);
   circuit.finalize();
-  EXPECT_FALSE(find_transition_test(circuit, TransitionFault{t3, true})
-                   .has_value());
-  EXPECT_TRUE(find_transition_test(circuit, TransitionFault{t1, true})
-                  .has_value());
+  EXPECT_EQ(search_transition_test(circuit, TransitionFault{t3, true}).verdict,
+            AtpgVerdict::kRedundant);
+  EXPECT_EQ(search_transition_test(circuit, TransitionFault{t1, true}).verdict,
+            AtpgVerdict::kTestable);
 }
 
 TEST(Transition, PathTestSetCoversTransitionFaults) {
@@ -127,17 +127,6 @@ TEST(Transition, SearchReportsTypedAbort) {
       circuit, fault, std::uint64_t{1} << 22, &guard);
   EXPECT_EQ(tripped.verdict, AtpgVerdict::kAborted);
   EXPECT_EQ(tripped.abort_reason, AbortReason::kCancelled);
-}
-
-TEST(Transition, LegacyWrapperThrowsTypedError) {
-  const Circuit circuit = c17();
-  const TransitionFault fault{circuit.inputs().front(), true};
-  try {
-    find_transition_test(circuit, fault, /*max_nodes=*/0);
-    FAIL() << "expected a typed abort";
-  } catch (const GuardTrippedError& error) {
-    EXPECT_EQ(error.reason(), AbortReason::kWorkBudget);
-  }
 }
 
 TEST(Transition, EmptyTestSetCoversNothing) {

@@ -94,7 +94,7 @@ void check_robust_detection(const Circuit& circuit, std::uint64_t seed,
       1u << 12);
   Rng rng(seed);
   for (const LogicalPath& path : paths) {
-    const auto test = find_robust_test(circuit, path);
+    const auto test = search_robust_test(circuit, path).test;
     if (!test.has_value()) continue;
     std::vector<bool> v1, v2;
     waves_to_vectors(*test, v1, v2);
