@@ -42,13 +42,6 @@ std::string system_to_string(const Circuit& circuit,
   return text;
 }
 
-LogicalPath path_from_key(const std::vector<std::uint32_t>& key) {
-  LogicalPath path;
-  path.path.leads.assign(key.begin(), key.end() - 1);
-  path.final_pi_value = key.back() != 0;
-  return path;
-}
-
 void figures_1_2_4_5() {
   const Circuit circuit = paper_example_circuit();
 
@@ -79,7 +72,7 @@ void figures_1_2_4_5() {
   }
   std::size_t robust = 0;
   for (const auto& key : figure2) {
-    const LogicalPath path = path_from_key(key);
+    const LogicalPath path = LogicalPath::from_key(key);
     const bool testable =
         search_robust_test(circuit, path).verdict == AtpgVerdict::kTestable;
     robust += testable;
@@ -96,7 +89,7 @@ void figures_1_2_4_5() {
   const RdIdentification heu2 = identify_rd_heuristic2(circuit, collect);
   std::size_t optimal_robust = 0;
   for (const auto& key : heu2.classify.kept_keys) {
-    const LogicalPath path = path_from_key(key);
+    const LogicalPath path = LogicalPath::from_key(key);
     const bool testable =
         search_robust_test(circuit, path).verdict == AtpgVerdict::kTestable;
     optimal_robust += testable;

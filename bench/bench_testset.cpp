@@ -29,12 +29,7 @@ std::vector<LogicalPath> decode(const Circuit&,
                                     keys) {
   std::vector<LogicalPath> paths;
   paths.reserve(keys.size());
-  for (const auto& key : keys) {
-    LogicalPath path;
-    path.path.leads.assign(key.begin(), key.end() - 1);
-    path.final_pi_value = key.back() != 0;
-    paths.push_back(std::move(path));
-  }
+  for (const auto& key : keys) paths.push_back(LogicalPath::from_key(key));
   return paths;
 }
 

@@ -50,9 +50,7 @@ int main() {
   std::vector<LogicalPath> untestable;
   std::vector<std::size_t> kept_lengths;
   for (const auto& key : result.classify.kept_keys) {
-    LogicalPath path;
-    path.path.leads.assign(key.begin(), key.end() - 1);
-    path.final_pi_value = key.back() != 0;
+    const LogicalPath path = LogicalPath::from_key(key);
     kept_lengths.push_back(path.path.leads.size());
     if (search_robust_test(circuit, path).verdict == AtpgVerdict::kTestable)
       ++testable;

@@ -18,9 +18,7 @@ using namespace rd;
 void print_paths(const Circuit& circuit,
                  const std::vector<std::vector<std::uint32_t>>& keys) {
   for (const auto& key : keys) {
-    LogicalPath path;
-    path.path.leads.assign(key.begin(), key.end() - 1);
-    path.final_pi_value = key.back() != 0;
+    const LogicalPath path = LogicalPath::from_key(key);
     std::printf("    %-28s %s\n", path_to_string(circuit, path).c_str(),
                 search_robust_test(circuit, path).verdict ==
                         AtpgVerdict::kTestable

@@ -75,7 +75,7 @@
 #include <string>
 
 #include "atpg/testset.h"
-#include "cache/eco_classify.h"
+#include "cache/cone_cache.h"
 #include "core/heuristics.h"
 #include "core/report.h"
 #include "core/resilient.h"
@@ -91,7 +91,6 @@
 #include "serve/server.h"
 #include "serve/session.h"
 #include "util/fsdir.h"
-#include "util/metrics.h"
 #include "sta/timing.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -107,76 +106,61 @@ CancellationToken g_cancel;
 
 extern "C" void handle_sigint(int) { g_cancel.request(); }
 
-/// Shared resource/injection flags for classify and atpg.
-struct GuardFlags {
-  double deadline_ms = 0.0;
-  std::uint64_t max_memory_mb = 0;
-  std::uint64_t inject_abort_after = 0;
-  std::string inject_abort_reason = "work_budget";
-  std::uint64_t inject_sigint_after = 0;
-
-  /// Consumes a recognized --flag=value; false if not ours.  Strict
-  /// parsing: a negative, overflowing or garbage-suffixed value is a
-  /// usage error (std::invalid_argument → exit 2), never a silent
-  /// truncation.
-  bool parse(const std::string& arg) {
-    if (starts_with(arg, "--deadline-ms=")) {
-      deadline_ms = parse_double_strict(arg.substr(14), "--deadline-ms");
-      return true;
-    }
-    if (starts_with(arg, "--max-memory-mb=")) {
-      max_memory_mb = parse_uint64_strict(arg.substr(16), "--max-memory-mb");
-      return true;
-    }
-    if (starts_with(arg, "--inject-abort-after=")) {
-      inject_abort_after =
-          parse_uint64_strict(arg.substr(21), "--inject-abort-after");
-      return true;
-    }
-    if (starts_with(arg, "--inject-abort-reason=")) {
-      inject_abort_reason = arg.substr(22);
-      return true;
-    }
-    if (starts_with(arg, "--inject-sigint-after=")) {
-      inject_sigint_after =
-          parse_uint64_strict(arg.substr(22), "--inject-sigint-after");
-      return true;
-    }
+/// Consumes a recognized resource or fault-injection flag of classify
+/// and atpg into `spec` (or `sigint_after`); false if `arg` is not one.
+/// Strict parsing: a negative, overflowing or garbage-suffixed value is
+/// a usage error (std::invalid_argument → exit 2), never a silent
+/// truncation.
+bool parse_guard_flag(const std::string& arg, serve::GuardSpec* spec,
+                      std::uint64_t* sigint_after) {
+  if (starts_with(arg, "--deadline-ms="))
+    spec->deadline_ms = parse_double_strict(arg.substr(14), "--deadline-ms");
+  else if (starts_with(arg, "--max-memory-mb="))
+    spec->max_memory_mb =
+        parse_uint64_strict(arg.substr(16), "--max-memory-mb");
+  else if (starts_with(arg, "--inject-abort-after="))
+    spec->inject_abort_after =
+        parse_uint64_strict(arg.substr(21), "--inject-abort-after");
+  else if (starts_with(arg, "--inject-abort-reason="))
+    spec->inject_abort_reason = arg.substr(22);
+  else if (starts_with(arg, "--inject-sigint-after="))
+    *sigint_after =
+        parse_uint64_strict(arg.substr(22), "--inject-sigint-after");
+  else
     return false;
-  }
+  return true;
+}
 
-  ExecGuardOptions guard_options() const {
-    ExecGuardOptions options;
-    options.deadline_seconds = deadline_ms / 1000.0;
-    options.memory_limit_bytes = max_memory_mb * 1024 * 1024;
-    options.cancel = &g_cancel;
-    return options;
+/// Exit code of a run report or serve response, printing the status
+/// line of an aborted run or the message of a refusal: 0 for a
+/// completed run or an ack, 1 for a refusal or an abort, 130 for a
+/// cancelled run.  The report must validate (an aborted block names
+/// its reason).
+int report_exit_code(const JsonValue& report) {
+  const JsonValue* kind = report.find("kind");
+  if (kind != nullptr && kind->is_string() &&
+      kind->as_string() == "serve_error") {
+    const JsonValue* error = report.find("error");
+    const JsonValue* message =
+        error != nullptr && error->is_object() ? error->find("message")
+                                               : nullptr;
+    std::fprintf(stderr, "error: %s\n",
+                 message != nullptr && message->is_string()
+                     ? message->as_string().c_str()
+                     : "request refused");
+    return 1;
   }
-
-  /// Arms the deterministic fault-injection hooks, if requested.
-  void arm(ExecGuard& guard) const {
-    if (inject_abort_after != 0) {
-      AbortReason reason;
-      if (inject_abort_reason == "deadline")
-        reason = AbortReason::kDeadline;
-      else if (inject_abort_reason == "memory")
-        reason = AbortReason::kMemory;
-      else if (inject_abort_reason == "cancelled")
-        reason = AbortReason::kCancelled;
-      else if (inject_abort_reason == "work_budget")
-        reason = AbortReason::kWorkBudget;
-      else
-        throw std::invalid_argument("unknown --inject-abort-reason: " +
-                                    inject_abort_reason);
-      guard.inject_trip_at(inject_abort_after, reason);
-    }
-    if (inject_sigint_after != 0)
-      guard.inject_at_check(inject_sigint_after, [] { std::raise(SIGINT); });
+  for (const char* block : {"classify", "atpg"}) {
+    const JsonValue* run = report.find(block);
+    if (run == nullptr || !run->is_object()) continue;
+    const JsonValue* completed = run->find("completed");
+    if (completed == nullptr || !completed->is_bool() || completed->as_bool())
+      continue;
+    const std::string reason = run->find("abort_reason")->as_string();
+    std::printf("status         : ABORTED (%s)\n", reason.c_str());
+    return reason == "cancelled" ? 130 : 1;
   }
-};
-
-int abort_exit_code(AbortReason reason) {
-  return reason == AbortReason::kCancelled ? 130 : 1;
+  return 0;
 }
 
 Circuit load_circuit(const std::string& spec) {
@@ -192,10 +176,30 @@ Circuit load_circuit(const std::string& spec) {
   return read_bench_file(spec);
 }
 
-/// load_circuit, timed as `io.load` for the --stats-json metrics.
-Circuit load_circuit_timed(const std::string& spec) {
-  ScopedTimer timer(global_metrics(), "io.load");
-  return load_circuit(spec);
+/// A job on the circuit `spec` names (a builtin or a .bench file).
+serve::Job circuit_job(const std::string& spec) {
+  serve::Job job;
+  job.circuit_name = spec;
+  job.netlist_text = spec;  // content identity; a one-shot cache never reuses
+  job.load = [spec] { return load_circuit(spec); };
+  return job;
+}
+
+/// Runs `job` on a one-shot Session under the guard `guard_spec` asks
+/// for, chained onto SIGINT, with --inject-sigint-after armed on it.
+serve::JobResult run_job(const serve::Job& job, bool atpg,
+                         const serve::GuardSpec& guard_spec,
+                         std::uint64_t sigint_after,
+                         ConeCacheStore* cone_cache = nullptr) {
+  serve::SessionConfig config;
+  config.cone_cache = cone_cache;
+  config.cancel = &g_cancel;
+  serve::Session session(config);
+  ExecGuard guard(guard_spec.options(config.cancel));
+  guard_spec.arm(guard);
+  if (sigint_after != 0)
+    guard.inject_at_check(sigint_after, [] { std::raise(SIGINT); });
+  return atpg ? session.atpg(job, guard) : session.classify(job, guard);
 }
 
 int cmd_stats(const std::string& spec) {
@@ -205,33 +209,31 @@ int cmd_stats(const std::string& spec) {
 }
 
 int cmd_classify(const std::string& spec, int argc, char** argv) {
-  std::string heuristic = "2";
-  std::string engine = "approx";
+  serve::Job job = circuit_job(spec);
   std::string stats_json;
   std::string cache_dir;
-  bool incremental = false;
   CacheFaultInjection cache_inject;
-  ClassifyOptions base;
-  GuardFlags guard_flags;
+  serve::GuardSpec guard_spec;
+  std::uint64_t sigint_after = 0;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
     if (starts_with(arg, "--heuristic="))
-      heuristic = arg.substr(12);
+      job.heuristic = arg.substr(12);
     else if (starts_with(arg, "--engine="))
-      engine = arg.substr(9);
+      job.engine = arg.substr(9);
     else if (starts_with(arg, "--work-limit="))
-      base.work_limit = parse_uint64_strict(arg.substr(13), "--work-limit");
+      job.work_limit = parse_uint64_strict(arg.substr(13), "--work-limit");
     else if (starts_with(arg, "--threads="))
-      base.num_threads = parse_size_strict(arg.substr(10), "--threads");
+      job.threads = parse_size_strict(arg.substr(10), "--threads");
     else if (starts_with(arg, "--stats-json="))
       stats_json = arg.substr(13);
     else if (arg == "--incremental")
-      incremental = true;
+      job.incremental = true;
     else if (starts_with(arg, "--cache-dir=")) {
       // Validated before any work: a bad directory is a usage error
       // naming the flag, not a mid-run I/O failure.
       cache_dir = validate_directory_flag(arg.substr(12), "--cache-dir");
-      incremental = true;
+      job.incremental = true;
     } else if (starts_with(arg, "--inject-cache-truncate-after="))
       cache_inject.truncate_after_bytes = parse_uint64_strict(
           arg.substr(30), "--inject-cache-truncate-after");
@@ -241,117 +243,53 @@ int cmd_classify(const std::string& spec, int argc, char** argv) {
     else if (starts_with(arg, "--inject-cache-crash-after="))
       cache_inject.crash_after_bytes = parse_uint64_strict(
           arg.substr(27), "--inject-cache-crash-after");
-    else if (!guard_flags.parse(arg)) {
+    else if (!parse_guard_flag(arg, &guard_spec, &sigint_after)) {
       std::fprintf(stderr, "unknown classify option: %s\n", arg.c_str());
       return 2;
     }
   }
-  if (!incremental && (cache_inject.truncate_after_bytes != 0 ||
-                       cache_inject.flip_bit != 0 ||
-                       cache_inject.crash_after_bytes != 0)) {
+  if (!job.incremental && (cache_inject.truncate_after_bytes != 0 ||
+                           cache_inject.flip_bit != 0 ||
+                           cache_inject.crash_after_bytes != 0)) {
     std::fprintf(stderr,
                  "usage error: --inject-cache-* requires --incremental\n");
     return 2;
   }
-  if (incremental && engine == "resilient") {
-    std::fprintf(stderr,
-                 "usage error: --incremental does not compose with "
-                 "--engine=resilient\n");
-    return 2;
-  }
-  const Circuit circuit = load_circuit_timed(spec);
-  ExecGuard guard(guard_flags.guard_options());
-  guard_flags.arm(guard);
-  base.guard = &guard;
-  Rng rng(1);
-  Stopwatch watch;
-  RdIdentification rd;
-  ResilientClassifyResult resilient;
+  serve::validate_job(job);  // usage errors before the cache is touched
   ConeCacheStore cone_store;
-  EcoStats eco_stats;
-  const bool use_ladder = engine == "resilient";
-  if (use_ladder) {
-    ResilientOptions options;
-    options.guard = &guard;
-    options.classify = base;
-    resilient = classify_resilient(circuit, options);
-    rd.classify = resilient.classify;
-  } else if (engine != "approx") {
-    std::fprintf(stderr, "unknown engine '%s'\n", engine.c_str());
-    return 2;
-  } else if (incremental) {
-    if (heuristic != "1" && heuristic != "2" && heuristic != "inverse" &&
-        heuristic != "fus") {
-      std::fprintf(stderr, "unknown heuristic '%s'\n", heuristic.c_str());
-      return 2;
-    }
-    if (!cache_dir.empty()) cone_store.load(cache_dir);
-    EcoOptions options;
-    options.sort_spec = heuristic;
-    options.base = base;
-    EcoResult eco = classify_eco(circuit, cone_store, options);
-    // Persist before reporting: a crash-injection run must leave the
-    // same artifacts a real crash would, nothing more.
-    if (!cache_dir.empty()) cone_store.save(cache_dir, cache_inject);
-    rd.classify = std::move(eco.classify);
-    rd.sort_seconds = eco.stats.sort_seconds;
-    rd.prerun_work = eco.stats.prerun_work;
-    eco_stats = eco.stats;
-  } else if (heuristic == "fus") {
-    rd.classify = classify_fus(circuit, base);
-  } else if (heuristic == "1") {
-    rd = identify_rd_heuristic1(circuit, base, &rng);
-  } else if (heuristic == "2") {
-    rd = identify_rd_heuristic2(circuit, base, &rng);
-  } else if (heuristic == "inverse") {
-    rd = identify_rd_heuristic2_inverse(circuit, base, &rng);
-  } else {
-    std::fprintf(stderr, "unknown heuristic '%s'\n", heuristic.c_str());
-    return 2;
-  }
-  const ClassifyResult& result = rd.classify;
-  if (!stats_json.empty()) {
-    record_classify_metrics(result, global_metrics());
-    JsonValue report = classify_run_report(
-        circuit.name(),
-        use_ladder    ? "resilient"
-        : incremental ? "eco:" + heuristic
-                      : heuristic,
-        rd, &global_metrics());
-    if (use_ladder) report.set("resilient", resilient_json(resilient));
-    if (incremental)
-      report.set("eco", eco_json(eco_stats, cone_store.stats()));
-    write_json_file(stats_json, report);
-  }
-  std::string method_text =
-      heuristic == "fus" ? "FUS baseline [2]" : "Heuristic " + heuristic;
-  if (use_ladder)
+  if (!cache_dir.empty()) cone_store.load(cache_dir);
+  Stopwatch watch;
+  const serve::JobResult out =
+      run_job(job, /*atpg=*/false, guard_spec, sigint_after, &cone_store);
+  // Persist before reporting: a crash-injection run must leave the
+  // same artifacts a real crash would, nothing more.
+  if (!cache_dir.empty()) cone_store.save(cache_dir, cache_inject);
+  if (!stats_json.empty()) write_json_file(stats_json, out.report);
+
+  const ClassifyResult& result = out.rd.classify;
+  std::string method_text = job.heuristic == "fus"
+                                ? "FUS baseline [2]"
+                                : "Heuristic " + job.heuristic;
+  if (out.resilient)
     method_text = "resilient ladder (" +
-                  std::string(engine_rung_name(resilient.engine)) + ")";
-  else if (incremental)
+                  std::string(engine_rung_name(out.resilient->engine)) + ")";
+  else if (out.eco)
     method_text = "incremental (" + method_text + ")";
-  std::printf("circuit        : %s\n", circuit.name().c_str());
+  std::printf("circuit        : %s\n", out.circuit_name.c_str());
   std::printf("method         : %s\n", method_text.c_str());
   std::printf("logical paths  : %s\n",
               result.total_logical.to_decimal_grouped().c_str());
-  if (incremental) {
-    const ConeCacheStore::Stats cache_stats = cone_store.stats();
+  if (out.eco) {
     std::printf("cones          : %llu (%llu cached, %llu reclassified)\n",
-                static_cast<unsigned long long>(eco_stats.cones),
-                static_cast<unsigned long long>(eco_stats.hits),
-                static_cast<unsigned long long>(eco_stats.misses));
-    if (cache_stats.recovery.total() != 0)
+                static_cast<unsigned long long>(out.eco->cones),
+                static_cast<unsigned long long>(out.eco->hits),
+                static_cast<unsigned long long>(out.eco->misses));
+    const std::uint64_t recovered = cone_store.stats().recovery.total();
+    if (recovered != 0)
       std::printf("cache recovery : %llu damaged artifact(s) survived\n",
-                  static_cast<unsigned long long>(
-                      cache_stats.recovery.total()));
+                  static_cast<unsigned long long>(recovered));
   }
-  if (!result.completed) {
-    const AbortReason reason = result.abort_reason == AbortReason::kNone
-                                   ? AbortReason::kWorkBudget
-                                   : result.abort_reason;
-    std::printf("status         : ABORTED (%s)\n", abort_reason_name(reason));
-    return abort_exit_code(reason);
-  }
+  if (!result.completed) return report_exit_code(out.report);
   std::printf("robust dep.    : %s (%.2f%%)\n",
               result.rd_paths.to_decimal_grouped().c_str(),
               result.rd_percent);
@@ -365,76 +303,37 @@ int cmd_classify(const std::string& spec, int argc, char** argv) {
 }
 
 int cmd_atpg(const std::string& spec, int argc, char** argv) {
-  std::uint64_t max_paths = 20000;
-  std::size_t num_threads = 1;
+  serve::Job job = circuit_job(spec);
   std::string stats_json;
-  GuardFlags guard_flags;
+  serve::GuardSpec guard_spec;
+  std::uint64_t sigint_after = 0;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
     if (starts_with(arg, "--max-paths="))
-      max_paths = parse_uint64_strict(arg.substr(12), "--max-paths");
+      job.max_paths = parse_uint64_strict(arg.substr(12), "--max-paths");
     else if (starts_with(arg, "--threads="))
-      num_threads = parse_size_strict(arg.substr(10), "--threads");
+      job.threads = parse_size_strict(arg.substr(10), "--threads");
     else if (starts_with(arg, "--stats-json="))
       stats_json = arg.substr(13);
-    else if (!guard_flags.parse(arg)) {
+    else if (!parse_guard_flag(arg, &guard_spec, &sigint_after)) {
       std::fprintf(stderr, "unknown atpg option: %s\n", arg.c_str());
       return 2;
     }
   }
-  const Circuit circuit = load_circuit_timed(spec);
-  ExecGuard guard(guard_flags.guard_options());
-  guard_flags.arm(guard);
-  ClassifyOptions options;
-  options.collect_paths_limit = max_paths;
-  options.num_threads = num_threads;
-  options.guard = &guard;
-  Rng rng(1);
-  const RdIdentification rd = identify_rd_heuristic2(circuit, options, &rng);
+  const serve::JobResult out =
+      run_job(job, /*atpg=*/true, guard_spec, sigint_after);
   std::printf("must-test paths: %llu (%.2f%% robust dependent)\n",
-              static_cast<unsigned long long>(rd.classify.kept_paths),
-              rd.classify.rd_percent);
-  if (!rd.classify.completed) {
-    const AbortReason reason = rd.classify.abort_reason == AbortReason::kNone
-                                   ? AbortReason::kWorkBudget
-                                   : rd.classify.abort_reason;
-    if (!stats_json.empty()) {
-      record_classify_metrics(rd.classify, global_metrics());
-      GeneratedTestSet never_ran;
-      never_ran.completed = false;
-      never_ran.abort_reason = reason;
-      write_json_file(stats_json, atpg_run_report(circuit.name(), rd,
-                                                  never_ran,
-                                                  &global_metrics()));
-    }
-    std::printf("status         : ABORTED (%s)\n", abort_reason_name(reason));
-    return abort_exit_code(reason);
-  }
-  if (rd.classify.kept_paths > max_paths) {
+              static_cast<unsigned long long>(out.rd.classify.kept_paths),
+              out.rd.classify.rd_percent);
+  if (out.over_path_cap) {
     std::printf("too many must-test paths for ATPG (cap %llu); raise "
                 "--max-paths\n",
-                static_cast<unsigned long long>(max_paths));
+                static_cast<unsigned long long>(job.max_paths));
     return 1;
   }
-  std::vector<LogicalPath> paths;
-  for (const auto& key : rd.classify.kept_keys) {
-    LogicalPath path;
-    path.path.leads.assign(key.begin(), key.end() - 1);
-    path.final_pi_value = key.back() != 0;
-    paths.push_back(std::move(path));
-  }
-  TestSetOptions testset_options;
-  testset_options.guard = &guard;
-  const GeneratedTestSet set = generate_test_set(circuit, paths,
-                                                 testset_options);
-  if (!stats_json.empty()) {
-    record_classify_metrics(rd.classify, global_metrics());
-    global_metrics().add_counter("atpg.robust_nodes", set.robust_nodes);
-    global_metrics().add_counter("atpg.nonrobust_nodes", set.nonrobust_nodes);
-    global_metrics().add_timer("atpg.wall", set.wall_seconds);
-    write_json_file(stats_json, atpg_run_report(circuit.name(), rd, set,
-                                                &global_metrics()));
-  }
+  if (!stats_json.empty()) write_json_file(stats_json, out.report);
+  if (!out.rd.classify.completed) return report_exit_code(out.report);
+  const GeneratedTestSet& set = out.test_set;
   std::printf(
       "test set       : %zu two-pattern tests\n"
       "robust         : %zu paths\n"
@@ -443,12 +342,7 @@ int cmd_atpg(const std::string& spec, int argc, char** argv) {
       "robust coverage: %.2f%%\n",
       set.tests.size(), set.robust_count, set.nonrobust_count,
       set.undetected_count, set.robust_coverage_percent);
-  if (!set.completed) {
-    std::printf("status         : ABORTED (%s)\n",
-                abort_reason_name(set.abort_reason));
-    return abort_exit_code(set.abort_reason);
-  }
-  return 0;
+  return report_exit_code(out.report);
 }
 
 int cmd_validate_json(const std::string& path) {
@@ -589,7 +483,7 @@ int cmd_serve(int argc, char** argv) {
               static_cast<unsigned long long>(stats.connections));
   if (cancelled) {
     std::printf("status         : ABORTED (cancelled)\n");
-    return abort_exit_code(AbortReason::kCancelled);
+    return 130;
   }
   return 0;
 }
@@ -677,6 +571,8 @@ int cmd_request(const std::string& port_spec, int argc, char** argv) {
       circuit_spec = arg.substr(10);
     else if (starts_with(arg, "--heuristic="))
       request.set("heuristic", JsonValue::string(arg.substr(12)));
+    else if (starts_with(arg, "--engine="))
+      request.set("engine", JsonValue::string(arg.substr(9)));
     else if (starts_with(arg, "--work-limit="))
       request.set("work_limit",
                   JsonValue::number(
@@ -748,37 +644,8 @@ int cmd_request(const std::string& port_spec, int argc, char** argv) {
   if (response_text.empty() || response_text.back() != '\n')
     std::fputc('\n', stdout);
   if (!problems.empty()) return 1;
-
-  // Exit-code parity with the one-shot commands: 0 for a completed job
-  // or ack, the abort code for a typed abort, 1 for a refusal.
-  const JsonValue* kind = response.find("kind");
-  const std::string kind_name =
-      kind != nullptr && kind->is_string() ? kind->as_string() : "";
-  if (kind_name == "serve_error") {
-    const JsonValue* error = response.find("error");
-    const JsonValue* message =
-        error != nullptr && error->is_object() ? error->find("message")
-                                               : nullptr;
-    std::fprintf(stderr, "error: %s\n",
-                 message != nullptr && message->is_string()
-                     ? message->as_string().c_str()
-                     : "request refused");
-    return 1;
-  }
-  const JsonValue* classify = response.find("classify");
-  if (classify != nullptr && classify->is_object()) {
-    const JsonValue* completed = classify->find("completed");
-    if (completed != nullptr && completed->is_bool() &&
-        !completed->as_bool()) {
-      const JsonValue* reason = classify->find("abort_reason");
-      const std::string reason_name =
-          reason != nullptr && reason->is_string() ? reason->as_string()
-                                                   : "work_budget";
-      std::printf("status         : ABORTED (%s)\n", reason_name.c_str());
-      return reason_name == "cancelled" ? 130 : 1;
-    }
-  }
-  return 0;
+  // Exit-code parity with the one-shot commands.
+  return report_exit_code(response);
 }
 
 }  // namespace

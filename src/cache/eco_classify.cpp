@@ -1,14 +1,12 @@
 #include "cache/eco_classify.h"
 
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "core/classify_dfs.h"
 #include "core/heuristics.h"
-#include "core/input_sort.h"
 #include "netlist/cone_signature.h"
-#include "paths/counting.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 
@@ -21,54 +19,26 @@ namespace {
 /// across cones would destroy.
 constexpr std::uint64_t kConeSortSeed = 1;
 
-struct ConeRun {
-  ClassifyResult result;
-  bool sort_aborted = false;
-  AbortReason sort_abort_reason = AbortReason::kNone;
-};
-
 /// Builds the cone's sort and classifies it.  `limit` is the kept-key
-/// budget for this cone (0 = no key collection).
-ConeRun classify_cone(const Circuit& cone, const EcoOptions& options,
-                      std::uint64_t limit, EcoStats* stats) {
+/// budget for this cone (0 = no key collection).  An aborted pre-run
+/// comes back as the cone's aborted result.
+ClassifyResult classify_cone(const Circuit& cone, const EcoOptions& options,
+                             std::uint64_t limit, EcoStats* stats) {
+  Rng tie_breaker(kConeSortSeed);
+  InputSortBuild build =
+      build_input_sort(cone, options.sort_spec, options.base, &tie_breaker);
+  stats->sort_seconds += build.seconds;
+  stats->prerun_work += build.prerun_work;
+  if (build.aborted) return std::move(*build.aborted);
+
   ClassifyOptions run = options.base;
   run.collect_lead_counts = false;
   run.collect_paths_limit = limit;
   run.compiled = nullptr;
-
-  ConeRun out;
-  InputSort sort = InputSort::natural(cone);
-  if (options.sort_spec == "fus") {
-    run.criterion = Criterion::kFunctionalSensitizable;
-    run.sort = nullptr;
-  } else {
-    Stopwatch watch;
-    Rng tie_breaker(kConeSortSeed);
-    if (options.sort_spec == "1") {
-      sort = heuristic1_sort(cone, &tie_breaker);
-    } else {  // "2" | "inverse"
-      ClassifyResult fs_run;
-      ClassifyResult nr_run;
-      sort = heuristic2_sort(cone, &tie_breaker, &fs_run, &nr_run,
-                             &options.base);
-      stats->prerun_work += fs_run.work + nr_run.work;
-      if (!fs_run.completed || !nr_run.completed) {
-        out.sort_aborted = true;
-        const ClassifyResult& bad = fs_run.completed ? nr_run : fs_run;
-        out.sort_abort_reason = bad.abort_reason == AbortReason::kNone
-                                    ? AbortReason::kWorkBudget
-                                    : bad.abort_reason;
-        stats->sort_seconds += watch.elapsed_seconds();
-        return out;
-      }
-      if (options.sort_spec == "inverse") sort = sort.reversed();
-    }
-    stats->sort_seconds += watch.elapsed_seconds();
-    run.criterion = Criterion::kInputSort;
-    run.sort = &sort;
-  }
-  out.result = classify_paths(cone, run);
-  return out;
+  run.criterion = build.sort ? Criterion::kInputSort
+                             : Criterion::kFunctionalSensitizable;
+  run.sort = build.sort ? &*build.sort : nullptr;
+  return classify_paths(cone, run);
 }
 
 ConeRecordData record_from_result(const ClassifyResult& result) {
@@ -78,10 +48,9 @@ ConeRecordData record_from_result(const ClassifyResult& result) {
   data.work = result.work;
   data.implication = result.implication;
   data.keys_complete = result.kept_keys.size() == result.kept_paths;
-  std::vector<LeadId> segment;
   for (const std::vector<std::uint32_t>& key : result.kept_keys) {
-    segment.assign(key.begin(), key.end() - 1);
-    data.keys.append(segment, key.back() != 0);
+    const LogicalPath path = LogicalPath::from_key(key);
+    data.keys.append(path.path.leads, path.final_pi_value);
   }
   return data;
 }
@@ -90,8 +59,7 @@ ConeRecordData record_from_result(const ClassifyResult& result) {
 
 EcoResult classify_eco(const Circuit& circuit, ConeCacheStore& store,
                        const EcoOptions& options) {
-  if (options.sort_spec != "1" && options.sort_spec != "2" &&
-      options.sort_spec != "inverse" && options.sort_spec != "fus")
+  if (!is_sort_spec(options.sort_spec))
     throw std::invalid_argument("classify_eco: unknown sort spec '" +
                                 options.sort_spec + "'");
   if (options.base.collect_lead_counts)
@@ -131,24 +99,17 @@ EcoResult classify_eco(const Circuit& circuit, ConeCacheStore& store,
     ConeRecordData fresh;
     if (record == nullptr) {
       ++out.stats.misses;
-      const ConeRun run = classify_cone(ex.cone, options, remaining,
-                                        &out.stats);
-      if (run.sort_aborted) {
+      const ClassifyResult run =
+          classify_cone(ex.cone, options, remaining, &out.stats);
+      if (!run.completed) {
+        total.kept_paths += run.kept_paths;
+        total.work += run.work;
+        total.implication.merge(run.implication);
         total.completed = false;
-        total.abort_reason = run.sort_abort_reason;
+        total.abort_reason = run.abort_reason;
         break;
       }
-      if (!run.result.completed) {
-        total.kept_paths += run.result.kept_paths;
-        total.work += run.result.work;
-        total.implication.merge(run.result.implication);
-        total.completed = false;
-        total.abort_reason = run.result.abort_reason == AbortReason::kNone
-                                 ? AbortReason::kWorkBudget
-                                 : run.result.abort_reason;
-        break;
-      }
-      fresh = record_from_result(run.result);
+      fresh = record_from_result(run);
       store.put(signature, canonical, fresh);
       ++out.stats.stored;
     } else {
@@ -173,19 +134,7 @@ EcoResult classify_eco(const Circuit& circuit, ConeCacheStore& store,
   // monolithic engines report.  On completed runs it provably equals
   // the sum of the per-cone record totals (every logical path ends at
   // exactly one PO); the tests pin that invariant.
-  total.total_logical = PathCounts(circuit).total_logical();
-  if (total.completed) {
-    total.rd_paths = total.total_logical - BigUint(total.kept_paths);
-    const double total_d = total.total_logical.to_double();
-    const double rd_d = total.rd_paths.to_double();
-    double percent = 0.0;
-    if (total_d > 0) {
-      percent = std::isfinite(total_d) && std::isfinite(rd_d)
-                    ? 100.0 * rd_d / total_d
-                    : 100.0;
-    }
-    total.rd_percent = std::isfinite(percent) ? percent : 0.0;
-  }
+  internal::finish_classify_result(circuit, &total);
   total.wall_seconds = watch.elapsed_seconds();
   return out;
 }

@@ -1,5 +1,8 @@
 #include "core/heuristics.h"
 
+#include <stdexcept>
+#include <string>
+
 #include "paths/counting.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -61,43 +64,61 @@ InputSort heuristic2_sort(const Circuit& circuit, Rng* tie_breaker,
   return InputSort::from_lead_costs(circuit, lead_cost, tie_breaker);
 }
 
-namespace {
-
-RdIdentification classify_with_sort(const Circuit& circuit, InputSort sort,
-                                    const ClassifyOptions& base) {
-  ClassifyOptions options = base;
-  options.criterion = Criterion::kInputSort;
-  options.sort = &sort;
-  ClassifyResult classify = classify_paths(circuit, options);
-  return RdIdentification{std::move(sort), std::move(classify)};
+bool is_sort_spec(std::string_view spec) {
+  return spec == "1" || spec == "2" || spec == "inverse" || spec == "fus";
 }
 
-/// Heuristic 2 end to end, its sort reversed for the inverse control.
-/// A sort cut from an aborted pre-run is not Heuristic 2's sort: the
-/// final run is skipped and the result carries that pre-run's abort.
-RdIdentification identify_with_heuristic2_sort(const Circuit& circuit,
-                                               const ClassifyOptions& base,
-                                               Rng* tie_breaker,
-                                               bool reversed) {
+InputSortBuild build_input_sort(const Circuit& circuit, std::string_view spec,
+                                const ClassifyOptions& base,
+                                Rng* tie_breaker) {
+  if (!is_sort_spec(spec))
+    throw std::invalid_argument("unknown sort spec '" + std::string(spec) +
+                                "' (expected 1, 2, inverse or fus)");
+  InputSortBuild build;
   Stopwatch watch;
-  ClassifyResult fs_run;
-  ClassifyResult nr_run;
-  InputSort sort =
-      heuristic2_sort(circuit, tie_breaker, &fs_run, &nr_run, &base);
-  if (reversed) sort = sort.reversed();
-  const double sort_seconds = watch.elapsed_seconds();
-  RdIdentification result;
-  if (fs_run.completed && nr_run.completed) {
-    result = classify_with_sort(circuit, std::move(sort), base);
-  } else {
-    const ClassifyResult& aborted = fs_run.completed ? nr_run : fs_run;
-    result.sort = std::move(sort);
-    result.classify.completed = false;
-    result.classify.abort_reason = aborted.abort_reason;
-    result.classify.total_logical = aborted.total_logical;
+  if (spec == "1") {
+    build.sort = heuristic1_sort(circuit, tie_breaker);
+  } else if (spec != "fus") {
+    ClassifyResult fs_run;
+    ClassifyResult nr_run;
+    InputSort sort =
+        heuristic2_sort(circuit, tie_breaker, &fs_run, &nr_run, &base);
+    build.prerun_work = fs_run.work + nr_run.work;
+    if (fs_run.completed && nr_run.completed) {
+      build.sort = spec == "inverse" ? sort.reversed() : std::move(sort);
+    } else {
+      const ClassifyResult& prerun = fs_run.completed ? nr_run : fs_run;
+      build.aborted.emplace();
+      build.aborted->completed = false;
+      build.aborted->abort_reason = prerun.abort_reason;
+      build.aborted->total_logical = prerun.total_logical;
+    }
   }
-  result.sort_seconds = sort_seconds;
-  result.prerun_work = fs_run.work + nr_run.work;
+  build.seconds = watch.elapsed_seconds();
+  return build;
+}
+
+namespace {
+
+/// `spec`'s sort, then the classification under (π1)-(π3); an aborted
+/// pre-run skips the final run and is reported in its place.
+RdIdentification identify_with_spec(const Circuit& circuit,
+                                    std::string_view spec,
+                                    const ClassifyOptions& base,
+                                    Rng* tie_breaker) {
+  InputSortBuild build = build_input_sort(circuit, spec, base, tie_breaker);
+  RdIdentification result;
+  if (build.aborted) {
+    result.classify = std::move(*build.aborted);
+  } else {
+    result.sort = std::move(*build.sort);
+    ClassifyOptions options = base;
+    options.criterion = Criterion::kInputSort;
+    options.sort = &result.sort;
+    result.classify = classify_paths(circuit, options);
+  }
+  result.sort_seconds = build.seconds;
+  result.prerun_work = build.prerun_work;
   return result;
 }
 
@@ -106,27 +127,19 @@ RdIdentification identify_with_heuristic2_sort(const Circuit& circuit,
 RdIdentification identify_rd_heuristic1(const Circuit& circuit,
                                         const ClassifyOptions& base,
                                         Rng* tie_breaker) {
-  Stopwatch watch;
-  InputSort sort = heuristic1_sort(circuit, tie_breaker);
-  const double sort_seconds = watch.elapsed_seconds();
-  RdIdentification result =
-      classify_with_sort(circuit, std::move(sort), base);
-  result.sort_seconds = sort_seconds;
-  return result;
+  return identify_with_spec(circuit, "1", base, tie_breaker);
 }
 
 RdIdentification identify_rd_heuristic2(const Circuit& circuit,
                                         const ClassifyOptions& base,
                                         Rng* tie_breaker) {
-  return identify_with_heuristic2_sort(circuit, base, tie_breaker,
-                                       /*reversed=*/false);
+  return identify_with_spec(circuit, "2", base, tie_breaker);
 }
 
 RdIdentification identify_rd_heuristic2_inverse(const Circuit& circuit,
                                                 const ClassifyOptions& base,
                                                 Rng* tie_breaker) {
-  return identify_with_heuristic2_sort(circuit, base, tie_breaker,
-                                       /*reversed=*/true);
+  return identify_with_spec(circuit, "inverse", base, tie_breaker);
 }
 
 ClassifyResult classify_fus(const Circuit& circuit,

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <optional>
+#include <string_view>
 
 #include "core/classify.h"
 #include "core/input_sort.h"
@@ -39,6 +40,38 @@ InputSort heuristic2_sort(const Circuit& circuit, Rng* tie_breaker = nullptr,
                           ClassifyResult* fs_run = nullptr,
                           ClassifyResult* nr_run = nullptr,
                           const ClassifyOptions* base = nullptr);
+
+/// True for the input-sort specs every front end accepts: "1"
+/// (Heuristic 1), "2" (Heuristic 2), "inverse" (Heuristic 2 reversed)
+/// and "fus" (no sort: the FUS baseline's FS criterion).
+bool is_sort_spec(std::string_view spec);
+
+/// The input sort a spec names, as build_input_sort made it.
+struct InputSortBuild {
+  /// The sort; nullopt for "fus" and when a pre-run aborted.
+  std::optional<InputSort> sort;
+
+  /// Wall-clock seconds of the construction.  Nondeterministic.
+  double seconds = 0.0;
+
+  /// DFS extension steps of Heuristic 2's FS/NR pre-runs (0 for "1"
+  /// and "fus"; deterministic on completed runs).
+  std::uint64_t prerun_work = 0;
+
+  /// Set when a Heuristic 2 pre-run aborted.  A sort cut from an
+  /// aborted pre-run is not Heuristic 2's sort, so there is none, and
+  /// this is what to report instead of the final run: completed =
+  /// false with the pre-run's abort_reason and total_logical.
+  std::optional<ClassifyResult> aborted;
+};
+
+/// Builds the sort `spec` names; throws std::invalid_argument unless
+/// is_sort_spec(spec).  `base`'s work_limit, num_threads, guard and
+/// backward_implications apply to Heuristic 2's pre-runs (see
+/// heuristic2_sort); `tie_breaker` is passed to the heuristic.
+InputSortBuild build_input_sort(const Circuit& circuit, std::string_view spec,
+                                const ClassifyOptions& base,
+                                Rng* tie_breaker);
 
 /// End-to-end result of one RD identification run.
 struct RdIdentification {

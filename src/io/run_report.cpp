@@ -56,15 +56,8 @@ JsonValue resilient_json(const ResilientClassifyResult& result) {
 JsonValue classify_result_json(const ClassifyResult& result) {
   JsonValue out = JsonValue::object();
   out.set("completed", JsonValue::boolean(result.completed));
-  // Aborted runs always name a cause: an untyped abort (a legacy
-  // work_limit trip that never set the field) defaults to work_budget
-  // so the null-iff-completed validator rule holds for every report.
-  AbortReason reason = AbortReason::kNone;
-  if (!result.completed)
-    reason = result.abort_reason == AbortReason::kNone
-                 ? AbortReason::kWorkBudget
-                 : result.abort_reason;
-  out.set("abort_reason", abort_reason_json(reason));
+  // Null iff completed: every engine names the cause of an abort.
+  out.set("abort_reason", abort_reason_json(result.abort_reason));
   out.set("kept_paths", JsonValue::number(result.kept_paths));
   // Exact decimal token: BigUint totals routinely exceed 2^64 (e.g.
   // c6288) and must not be rounded through a double.
@@ -146,12 +139,7 @@ JsonValue atpg_run_report(const std::string& circuit_name,
            JsonValue::number(
                static_cast<std::uint64_t>(set.nonrobust_budget_exceeded)));
   atpg.set("completed", JsonValue::boolean(set.completed));
-  AbortReason atpg_reason = AbortReason::kNone;
-  if (!set.completed)
-    atpg_reason = set.abort_reason == AbortReason::kNone
-                      ? AbortReason::kWorkBudget
-                      : set.abort_reason;
-  atpg.set("abort_reason", abort_reason_json(atpg_reason));
+  atpg.set("abort_reason", abort_reason_json(set.abort_reason));
   atpg.set("wall_seconds", JsonValue::number(set.wall_seconds));
   report.set("atpg", std::move(atpg));
   if (metrics != nullptr) report.set("metrics", metrics_json(*metrics));

@@ -40,6 +40,11 @@ struct LogicalPath {
     encoded.push_back(final_pi_value ? 1u : 0u);
     return encoded;
   }
+
+  /// Inverse of key(): the logical path a canonical key encodes.
+  static LogicalPath from_key(const std::vector<std::uint32_t>& key) {
+    return {PhysicalPath{{key.begin(), key.end() - 1}}, key.back() != 0};
+  }
 };
 
 /// The primary input gate of a path.

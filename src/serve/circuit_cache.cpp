@@ -8,10 +8,8 @@
 #include <utility>
 
 #include "core/classify.h"
-#include "core/heuristics.h"
 #include "io/bench_io.h"
 #include "util/rng.h"
-#include "util/stopwatch.h"
 
 namespace rd::serve {
 
@@ -82,7 +80,7 @@ std::uint64_t CircuitCache::content_hash(std::string_view netlist_text,
 
 CircuitCache::EntryPtr CircuitCache::build_entry(
     const std::string& netlist_text, const std::string& circuit_name,
-    const std::string& sort_spec, const BuildOptions& build,
+    const std::string& sort_spec, const ClassifyOptions& build,
     const std::function<Circuit()>& generator) {
   auto entry = std::make_shared<Entry>();
   entry->content_key = content_hash(netlist_text, sort_spec);
@@ -90,42 +88,16 @@ CircuitCache::EntryPtr CircuitCache::build_entry(
   entry->circuit = generator ? generator()
                              : read_bench_string(netlist_text, circuit_name);
 
-  ClassifyOptions base;
-  base.num_threads = build.num_threads;
-  base.work_limit = build.work_limit;
-  base.guard = build.guard;
-
-  Stopwatch watch;
   Rng rng(1);  // same tie-break stream as identify_rd_heuristic*
-  if (sort_spec == "1") {
-    entry->sort = heuristic1_sort(entry->circuit, &rng);
-  } else if (sort_spec == "2" || sort_spec == "inverse") {
-    ClassifyResult fs_run;
-    ClassifyResult nr_run;
-    InputSort sort =
-        heuristic2_sort(entry->circuit, &rng, &fs_run, &nr_run, &base);
-    // A sort cut from aborted pre-runs is not Heuristic 2's sort; it
-    // must not be cached and served to every later client.  Convert
-    // the partial build into this request's typed abort instead.
-    if (!fs_run.completed || !nr_run.completed) {
-      const AbortReason reason = !fs_run.completed
-                                     ? (fs_run.abort_reason == AbortReason::kNone
-                                            ? AbortReason::kWorkBudget
-                                            : fs_run.abort_reason)
-                                     : (nr_run.abort_reason == AbortReason::kNone
-                                            ? AbortReason::kWorkBudget
-                                            : nr_run.abort_reason);
-      throw GuardTrippedError(reason);
-    }
-    entry->prerun_work = fs_run.work + nr_run.work;
-    entry->sort = sort_spec == "2" ? std::move(sort) : sort.reversed();
-  } else if (sort_spec == "fus") {
-    entry->sort.reset();
-  } else {
-    throw std::invalid_argument("unknown sort spec '" + sort_spec +
-                                "' (expected 1, 2, inverse or fus)");
-  }
-  entry->sort_seconds = watch.elapsed_seconds();
+  InputSortBuild sort =
+      build_input_sort(entry->circuit, sort_spec, build, &rng);
+  // A sort cut from aborted pre-runs must not be cached and served to
+  // every later client: the partial build becomes this request's typed
+  // abort, carrying its pre-run accounting.
+  if (sort.aborted) throw SortAbortedError(std::move(sort));
+  entry->sort = std::move(sort.sort);
+  entry->sort_seconds = sort.seconds;
+  entry->prerun_work = sort.prerun_work;
 
   // The compile references entry->circuit (and, via the captured
   // pointer, entry->sort); both are heap-pinned by the shared_ptr, so
@@ -146,7 +118,7 @@ CircuitCache::EntryPtr CircuitCache::build_entry(
 CircuitCache::EntryPtr CircuitCache::get(const std::string& netlist_text,
                                          const std::string& circuit_name,
                                          const std::string& sort_spec,
-                                         const BuildOptions& build,
+                                         const ClassifyOptions& build,
                                          bool* was_hit,
                                          const std::function<Circuit()>& generator) {
   std::string key;

@@ -31,7 +31,9 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 
+#include "core/heuristics.h"
 #include "core/input_sort.h"
 #include "netlist/circuit.h"
 #include "netlist/compiled.h"
@@ -46,6 +48,22 @@ struct CacheStats {
   std::uint64_t evictions = 0;   // LRU evictions
   std::uint64_t failures = 0;    // builds that threw
   std::uint64_t entries = 0;     // ready entries currently cached
+};
+
+/// Thrown by CircuitCache::get when a heuristic pre-run aborted.  The
+/// sort it would have cut is not a sort, so nothing is cached; build()
+/// carries the pre-run accounting (seconds, prerun_work and the
+/// aborted result) for the requester's report.
+class SortAbortedError : public GuardTrippedError {
+ public:
+  explicit SortAbortedError(InputSortBuild build)
+      : GuardTrippedError(build.aborted->abort_reason),
+        build_(std::move(build)) {}
+
+  const InputSortBuild& build() const noexcept { return build_; }
+
+ private:
+  InputSortBuild build_;
 };
 
 class CircuitCache {
@@ -75,30 +93,23 @@ class CircuitCache {
   };
   using EntryPtr = std::shared_ptr<const Entry>;
 
-  /// Knobs for the (at most one) build a get() may run: the heuristic
-  /// pre-runs honor the requesting job's thread budget, work limit and
-  /// guard, so an abusive build degrades to that job's typed abort.
-  struct BuildOptions {
-    std::size_t num_threads = 1;
-    std::uint64_t work_limit = std::uint64_t{1} << 62;
-    ExecGuard* guard = nullptr;
-  };
-
   /// Returns the ready entry for (netlist_text, sort_spec), building
-  /// it first if needed.  `circuit_name` only labels a fresh build (a
+  /// it first if needed.  The (at most one) build runs the heuristic
+  /// pre-runs under `build`'s thread budget, work limit and guard (see
+  /// build_input_sort), so an abusive build degrades to the requesting
+  /// job's typed abort.  `circuit_name` only labels a fresh build (a
   /// hit keeps the name it was built under).  Sets *was_hit when
   /// non-null.  When `generator` is set, a fresh build obtains the
-  /// Circuit from it instead of parsing `netlist_text` — the builtin
-  /// request path uses this so a daemon-built c432 is the *same*
-  /// Circuit object graph (gate numbering included) the one-shot CLI
-  /// classifies, keeping results bit-identical; `netlist_text` then
-  /// only serves as the content key.  Throws what the build threw:
-  /// std::runtime_error on a malformed netlist, GuardTrippedError on a
-  /// guard/work abort during the pre-runs, std::invalid_argument on an
-  /// unknown sort spec.
+  /// Circuit from it instead of parsing `netlist_text`, which then only
+  /// serves as the content key — a builtin's generator makes a
+  /// daemon-built c432 the *same* Circuit object graph (gate numbering
+  /// included) the one-shot CLI classifies.  Throws what the build
+  /// threw: std::runtime_error on a malformed netlist,
+  /// SortAbortedError on a guard/work abort during the pre-runs,
+  /// std::invalid_argument on an unknown sort spec.
   EntryPtr get(const std::string& netlist_text,
                const std::string& circuit_name, const std::string& sort_spec,
-               const BuildOptions& build, bool* was_hit = nullptr,
+               const ClassifyOptions& build, bool* was_hit = nullptr,
                const std::function<Circuit()>& generator = nullptr);
 
   /// FNV-1a 64 over the netlist text and the sort spec (the cache key
@@ -116,7 +127,7 @@ class CircuitCache {
   static EntryPtr build_entry(const std::string& netlist_text,
                               const std::string& circuit_name,
                               const std::string& sort_spec,
-                              const BuildOptions& build,
+                              const ClassifyOptions& build,
                               const std::function<Circuit()>& generator);
 
   std::size_t capacity_;

@@ -69,17 +69,15 @@ bool get_bool(const JsonValue& request, std::string_view key, bool fallback) {
   return value->as_bool();
 }
 
-/// Resolves the request's "circuit" object to (name, content key
-/// text, optional generator).  Builtins are rendered to text for the
-/// cache key (content identity) but rebuilt through the generator on a
-/// cache miss, so a daemon-built builtin is the *same* Circuit object
-/// graph — gate numbering included — that the one-shot CLI classifies.
-/// The builtin key text carries a marker prefix so it can never
-/// collide with an inline netlist whose text happens to match the
-/// rendered form (the two parse paths may number gates differently).
-void resolve_circuit(const JsonValue& request, std::string* name,
-                     std::string* key_text,
-                     std::function<Circuit()>* generator) {
+/// Fills the job's circuit fields from the request's "circuit" object.
+/// Builtins are rendered to text for the cache key (content identity)
+/// but rebuilt through the generator on a cache miss, so a
+/// daemon-built builtin is the *same* Circuit object graph — gate
+/// numbering included — that the one-shot CLI classifies.  The builtin
+/// key text carries a marker prefix so it can never collide with an
+/// inline netlist whose text happens to match the rendered form (the
+/// two parse paths may number gates differently).
+void resolve_circuit(const JsonValue& request, Job* job) {
   const JsonValue* circuit = request.find("circuit");
   if (circuit == nullptr || !circuit->is_object())
     throw BadRequest("field 'circuit' must be an object");
@@ -88,112 +86,149 @@ void resolve_circuit(const JsonValue& request, std::string* name,
     if (!builtin->is_string())
       throw BadRequest("field 'circuit.builtin' must be a string");
     const std::string spec = builtin->as_string();
-    Circuit generated;
-    try {
-      if (spec == "example")
-        generated = paper_example_circuit();
-      else if (spec == "c17")
-        generated = c17();
-      else
-        generated = make_benchmark(spec);
-    } catch (const std::invalid_argument& error) {
-      throw BadRequest("unknown builtin circuit '" + spec +
-                       "': " + error.what());
-    }
-    *name = generated.name();
-    *key_text = "builtin\n" + write_bench_string(generated);
-    *generator = [spec] {
+    const auto generate = [spec] {
       if (spec == "example") return paper_example_circuit();
       if (spec == "c17") return c17();
       return make_benchmark(spec);
     };
+    Circuit generated;
+    try {
+      generated = generate();
+    } catch (const std::invalid_argument& error) {
+      throw BadRequest("unknown builtin circuit '" + spec +
+                       "': " + error.what());
+    }
+    job->circuit_name = generated.name();
+    job->netlist_text = "builtin\n" + write_bench_string(generated);
+    job->load = generate;
     return;
   }
   const JsonValue* bench = circuit->find("bench");
   if (bench == nullptr || !bench->is_string())
     throw BadRequest("field 'circuit' needs 'builtin' or a 'bench' string");
-  *key_text = bench->as_string();
-  *name = get_string(*circuit, "name", "request");
-  *generator = nullptr;
+  job->netlist_text = bench->as_string();
+  job->circuit_name = get_string(*circuit, "name", "request");
 }
 
-/// Per-request guard assembly, mirroring the CLI's GuardFlags: the
-/// same QoS knobs and the same deterministic fault injection, but
-/// scoped to one request and chained onto the server's cancel token.
-struct GuardSpec {
-  double deadline_ms = 0.0;
-  std::uint64_t max_memory_mb = 0;
-  std::uint64_t inject_abort_after = 0;
-  std::string inject_abort_reason = "work_budget";
+GuardSpec guard_spec(const JsonValue& request) {
+  GuardSpec spec;
+  const JsonValue* guard = request.find("guard");
+  if (guard == nullptr) return spec;
+  if (!guard->is_object()) throw BadRequest("field 'guard' must be an object");
+  spec.deadline_ms = get_nonneg_double(*guard, "deadline_ms", 0.0);
+  spec.max_memory_mb = get_uint(*guard, "max_memory_mb", 0);
+  spec.inject_abort_after = get_uint(*guard, "inject_abort_after", 0);
+  spec.inject_abort_reason =
+      get_string(*guard, "inject_abort_reason", "work_budget");
+  return spec;
+}
 
-  static GuardSpec from_request(const JsonValue& request) {
-    GuardSpec spec;
-    const JsonValue* guard = request.find("guard");
-    if (guard == nullptr) return spec;
-    if (!guard->is_object())
-      throw BadRequest("field 'guard' must be an object");
-    spec.deadline_ms = get_nonneg_double(*guard, "deadline_ms", 0.0);
-    spec.max_memory_mb = get_uint(*guard, "max_memory_mb", 0);
-    spec.inject_abort_after = get_uint(*guard, "inject_abort_after", 0);
-    spec.inject_abort_reason =
-        get_string(*guard, "inject_abort_reason", "work_budget");
-    return spec;
-  }
+Job classify_job(const JsonValue& request) {
+  Job job;
+  resolve_circuit(request, &job);
+  job.heuristic = get_string(request, "heuristic", job.heuristic);
+  job.engine = get_string(request, "engine", job.engine);
+  job.incremental = get_bool(request, "incremental", false);
+  job.work_limit = get_uint(request, "work_limit", job.work_limit);
+  job.threads =
+      static_cast<std::size_t>(get_uint(request, "threads", job.threads));
+  // The lane engine is gone (DESIGN.md "Removed accelerators"): a
+  // request that still names a lane width is refused, like the CLI's
+  // unknown option, rather than silently run on the scalar engine.
+  if (request.find("lanes") != nullptr)
+    throw BadRequest("field 'lanes' was removed; classification is scalar");
+  // Likewise the learned implication tier: the classifier uses the
+  // paper's local implications only, and any tier request is refused.
+  if (request.find("implications") != nullptr)
+    throw BadRequest(
+        "field 'implications' was removed; classification uses local "
+        "implications only");
+  return job;
+}
 
-  ExecGuardOptions options(CancellationToken* cancel) const {
-    ExecGuardOptions options;
-    options.deadline_seconds = deadline_ms / 1000.0;
-    options.memory_limit_bytes = max_memory_mb * 1024 * 1024;
-    options.cancel = cancel;
-    return options;
-  }
-
-  void arm(ExecGuard& guard) const {
-    if (inject_abort_after == 0) return;
-    AbortReason reason;
-    if (inject_abort_reason == "deadline")
-      reason = AbortReason::kDeadline;
-    else if (inject_abort_reason == "memory")
-      reason = AbortReason::kMemory;
-    else if (inject_abort_reason == "cancelled")
-      reason = AbortReason::kCancelled;
-    else if (inject_abort_reason == "work_budget")
-      reason = AbortReason::kWorkBudget;
-    else
-      throw BadRequest("unknown guard.inject_abort_reason '" +
-                       inject_abort_reason + "'");
-    guard.inject_trip_at(inject_abort_after, reason);
-  }
-};
+Job atpg_job(const JsonValue& request) {
+  Job job;
+  resolve_circuit(request, &job);
+  job.max_paths = get_uint(request, "max_paths", job.max_paths);
+  job.threads =
+      static_cast<std::size_t>(get_uint(request, "threads", job.threads));
+  return job;
+}
 
 /// The {"serve": ...} payload attached to every job report.  Beyond
 /// the per-request hit/miss verdict it snapshots the shared cache's
 /// pressure counters (evictions, build failures), so a client can see
 /// churn without a separate stats round-trip.
-JsonValue serve_payload(std::uint64_t id, bool has_id, bool cache_hit,
-                        std::uint64_t content_key,
-                        const CircuitCache* cache) {
+JsonValue serve_payload(std::uint64_t id, bool has_id,
+                        const JobResult& result) {
   JsonValue payload = JsonValue::object();
   payload.set("id", has_id ? JsonValue::number(id) : JsonValue::null());
-  payload.set("cache_hit", JsonValue::boolean(cache_hit));
-  payload.set("circuit_key", JsonValue::number(content_key));
-  if (cache != nullptr) {
-    const CacheStats stats = cache->stats();
-    payload.set("cache_evictions", JsonValue::number(stats.evictions));
-    payload.set("cache_failures", JsonValue::number(stats.failures));
+  payload.set("cache_hit", JsonValue::boolean(result.cache_hit));
+  payload.set("circuit_key", JsonValue::number(result.content_key));
+  if (result.cache_stats.has_value()) {
+    payload.set("cache_evictions",
+                JsonValue::number(result.cache_stats->evictions));
+    payload.set("cache_failures",
+                JsonValue::number(result.cache_stats->failures));
+  }
+  if (result.eco.has_value()) {
+    JsonValue cone_cache = JsonValue::object();
+    cone_cache.set("hits", JsonValue::number(result.eco->hits));
+    cone_cache.set("misses", JsonValue::number(result.eco->misses));
+    cone_cache.set("recovered",
+                   JsonValue::number(result.cone_cache.recovery.total()));
+    payload.set("cone_cache", std::move(cone_cache));
   }
   return payload;
 }
 
-std::string heuristic_spec(const JsonValue& request) {
-  const std::string heuristic = get_string(request, "heuristic", "2");
-  if (heuristic != "1" && heuristic != "2" && heuristic != "inverse" &&
-      heuristic != "fus")
-    throw BadRequest("field 'heuristic' must be 1, 2, inverse or fus");
-  return heuristic;
+/// The job's circuit, timed as `io.load`; a reader failure becomes a
+/// CircuitLoadError.
+Circuit load_circuit(const Job& job, MetricsRegistry& metrics) {
+  ScopedTimer timer(metrics, "io.load");
+  try {
+    return job.load ? job.load()
+                    : read_bench_string(job.netlist_text, job.circuit_name);
+  } catch (const std::runtime_error& error) {
+    throw CircuitLoadError(error.what());
+  }
 }
 
 }  // namespace
+
+void validate_job(const Job& job) {
+  if (!is_sort_spec(job.heuristic))
+    throw std::invalid_argument("unknown heuristic '" + job.heuristic +
+                                "' (expected 1, 2, inverse or fus)");
+  if (job.engine != "approx" && job.engine != "resilient")
+    throw std::invalid_argument("unknown engine '" + job.engine +
+                                "' (expected approx or resilient)");
+  if (job.engine == "resilient" && job.incremental)
+    throw std::invalid_argument(
+        "incremental mode does not compose with the resilient engine");
+}
+
+ExecGuardOptions GuardSpec::options(CancellationToken* cancel) const {
+  ExecGuardOptions options;
+  options.deadline_seconds = deadline_ms / 1000.0;
+  options.memory_limit_bytes = max_memory_mb * 1024 * 1024;
+  options.cancel = cancel;
+  return options;
+}
+
+void GuardSpec::arm(ExecGuard& guard) const {
+  if (inject_abort_after == 0) return;
+  for (const AbortReason reason :
+       {AbortReason::kDeadline, AbortReason::kMemory, AbortReason::kCancelled,
+        AbortReason::kWorkBudget}) {
+    if (inject_abort_reason == abort_reason_name(reason)) {
+      guard.inject_trip_at(inject_abort_after, reason);
+      return;
+    }
+  }
+  throw std::invalid_argument("unknown inject_abort_reason '" +
+                              inject_abort_reason + "'");
+}
 
 Session::Session(SessionConfig config) : config_(std::move(config)) {}
 
@@ -278,12 +313,25 @@ RequestOutcome Session::handle(const std::string& request_text) {
       outcome.response.set("problems", std::move(problems_json));
       return outcome;
     }
-    if (op == "classify") {
-      outcome.response = run_classify(request, id, has_id);
-      return outcome;
-    }
-    if (op == "atpg") {
-      outcome.response = run_atpg(request, id, has_id);
+    if (op == "classify" || op == "atpg") {
+      const bool classifying = op == "classify";
+      const Job job = classifying ? classify_job(request) : atpg_job(request);
+      const GuardSpec spec = guard_spec(request);
+      ExecGuard guard(spec.options(config_.cancel));
+      JobResult result;
+      try {
+        spec.arm(guard);
+        result = classifying ? classify(job, guard) : atpg(job, guard);
+      } catch (const CircuitLoadError& error) {
+        throw BadRequest(std::string("cannot load circuit: ") + error.what());
+      } catch (const std::invalid_argument& error) {
+        throw BadRequest(error.what());
+      }
+      if (result.over_path_cap)
+        throw BadRequest("too many must-test paths for ATPG (cap " +
+                         std::to_string(job.max_paths) + "); raise max_paths");
+      outcome.response = std::move(result.report);
+      outcome.response.set("serve", serve_payload(id, has_id, result));
       return outcome;
     }
     throw BadRequest("unknown op '" + op + "'");
@@ -298,230 +346,130 @@ RequestOutcome Session::handle(const std::string& request_text) {
   }
 }
 
-JsonValue Session::run_classify(const JsonValue& request, std::uint64_t id,
-                                bool has_id) {
-  std::string name;
-  std::string bench_text;
-  std::function<Circuit()> generator;
-  resolve_circuit(request, &name, &bench_text, &generator);
-  const std::string heuristic = heuristic_spec(request);
+JobResult Session::run_classification(const Job& job, ExecGuard& guard,
+                                       std::uint64_t collect_paths_limit,
+                                       MetricsRegistry& metrics) {
+  validate_job(job);
+  const bool resilient = job.engine == "resilient";
 
   ClassifyOptions base;
-  base.work_limit = get_uint(request, "work_limit", base.work_limit);
-  base.num_threads = static_cast<std::size_t>(
-      get_uint(request, "threads", base.num_threads));
-  // The lane engine is gone (DESIGN.md "Removed accelerators"): a
-  // request that still names a lane width is refused, like the CLI's
-  // unknown option, rather than silently run on the scalar engine.
-  if (request.find("lanes") != nullptr)
-    throw BadRequest("field 'lanes' was removed; classification is scalar");
-  // Likewise the learned implication tier: the classifier uses the
-  // paper's local implications only, and any tier request is refused.
-  if (request.find("implications") != nullptr)
-    throw BadRequest(
-        "field 'implications' was removed; classification uses local "
-        "implications only");
-
-  const GuardSpec guard_spec = GuardSpec::from_request(request);
-  ExecGuard guard(guard_spec.options(config_.cancel));
-  guard_spec.arm(guard);
+  base.work_limit = job.work_limit;
+  base.num_threads = job.threads;
+  base.collect_paths_limit = collect_paths_limit;
   base.guard = &guard;
 
-  if (get_bool(request, "incremental", false)) {
+  JobResult out;
+  out.circuit_name = job.circuit_name;
+  out.content_key = CircuitCache::content_hash(job.netlist_text, job.heuristic);
+
+  if (job.incremental) {
     // Cone-cached ECO mode: the compiled-circuit cache is bypassed —
     // reuse lives at cone granularity in the shared ConeCacheStore,
     // which survives across requests (and daemon restarts when the
     // server persists it).
-    Circuit circuit;
-    try {
-      circuit = generator ? generator() : read_bench_string(bench_text, name);
-    } catch (const std::exception& error) {
-      throw BadRequest(std::string("cannot load circuit: ") + error.what());
-    }
+    auto circuit = std::make_shared<const Circuit>(load_circuit(job, metrics));
     ConeCacheStore private_store;
     ConeCacheStore& store =
         config_.cone_cache != nullptr ? *config_.cone_cache : private_store;
-    EcoOptions eco_options;
-    eco_options.sort_spec = heuristic;
-    eco_options.base = base;
-    EcoResult eco = classify_eco(circuit, store, eco_options);
-
-    RdIdentification rd;
-    rd.classify = std::move(eco.classify);
-    rd.sort_seconds = eco.stats.sort_seconds;
-    rd.prerun_work = eco.stats.prerun_work;
-    MetricsRegistry metrics;
-    record_classify_metrics(rd.classify, metrics);
-    JsonValue report =
-        classify_run_report(circuit.name(), "eco:" + heuristic, rd, &metrics);
-    const ConeCacheStore::Stats store_stats = store.stats();
-    report.set("eco", eco_json(eco.stats, store_stats));
-    JsonValue payload = serve_payload(
-        id, has_id, /*cache_hit=*/false,
-        CircuitCache::content_hash(bench_text, heuristic), config_.cache);
-    JsonValue cone_cache_json = JsonValue::object();
-    cone_cache_json.set("hits", JsonValue::number(eco.stats.hits));
-    cone_cache_json.set("misses", JsonValue::number(eco.stats.misses));
-    cone_cache_json.set("recovered",
-                        JsonValue::number(store_stats.recovery.total()));
-    payload.set("cone_cache", std::move(cone_cache_json));
-    report.set("serve", std::move(payload));
-    return report;
+    EcoOptions options;
+    options.sort_spec = job.heuristic;
+    options.base = base;
+    EcoResult eco = classify_eco(*circuit, store, options);
+    out.circuit = circuit;
+    out.circuit_name = circuit->name();
+    out.rd.classify = std::move(eco.classify);
+    out.rd.sort_seconds = eco.stats.sort_seconds;
+    out.rd.prerun_work = eco.stats.prerun_work;
+    out.eco = eco.stats;
+    out.cone_cache = store.stats();
+    if (config_.cache != nullptr) out.cache_stats = config_.cache->stats();
+    return out;
   }
 
   // One-shot mode (no shared cache) still funnels through a private
   // single-entry cache: identical build path, zero reuse.
   CircuitCache one_shot(1);
   CircuitCache& cache = config_.cache != nullptr ? *config_.cache : one_shot;
-  const std::uint64_t content_key =
-      CircuitCache::content_hash(bench_text, heuristic);
-
-  CircuitCache::BuildOptions build;
-  build.num_threads = base.num_threads;
-  build.work_limit = base.work_limit;
-  build.guard = &guard;
-  bool cache_hit = false;
   CircuitCache::EntryPtr entry;
   try {
-    entry = cache.get(bench_text, name, heuristic, build, &cache_hit,
-                      generator);
-  } catch (const GuardTrippedError& tripped) {
-    // Build aborted under this request's own budget: report it like
-    // any aborted run — typed reason, schema-valid partial report.
-    RdIdentification rd;
-    rd.classify.completed = false;
-    rd.classify.abort_reason = tripped.reason();
-    MetricsRegistry metrics;
-    record_classify_metrics(rd.classify, metrics);
-    JsonValue report =
-        classify_run_report(name, heuristic, rd, &metrics);
-    report.set("serve", serve_payload(id, has_id, false, content_key, &cache));
-    return report;
-  } catch (const std::invalid_argument& error) {
-    throw BadRequest(error.what());
-  } catch (const std::runtime_error& error) {
-    throw BadRequest(std::string("cannot load circuit: ") + error.what());
+    entry = cache.get(job.netlist_text, job.circuit_name, job.heuristic, base,
+                      &out.cache_hit, [&] {
+                        Circuit circuit = load_circuit(job, metrics);
+                        out.circuit_name = circuit.name();
+                        return circuit;
+                      });
+  } catch (const SortAbortedError& aborted) {
+    // The sort's pre-run aborted under this job's own budget: report
+    // it like any aborted run, with the pre-run's accounting.
+    out.rd.classify = *aborted.build().aborted;
+    out.rd.sort_seconds = aborted.build().seconds;
+    out.rd.prerun_work = aborted.build().prerun_work;
+    out.cache_stats = cache.stats();
+    return out;
   }
 
   ClassifyOptions options = base;
-  if (entry->sort.has_value()) {
-    options.criterion = Criterion::kInputSort;
-    options.sort = &*entry->sort;
-  } else {
-    options.criterion = Criterion::kFunctionalSensitizable;
-    options.sort = nullptr;
-  }
+  options.criterion = entry->sort ? Criterion::kInputSort
+                                  : Criterion::kFunctionalSensitizable;
+  options.sort = entry->sort ? &*entry->sort : nullptr;
   options.compiled = entry->compiled.get();
-
-  RdIdentification rd;
-  rd.classify = classify_paths(entry->circuit, options);
-  rd.sort_seconds = entry->sort_seconds;
-  rd.prerun_work = entry->prerun_work;
-
-  MetricsRegistry metrics;
-  record_classify_metrics(rd.classify, metrics);
-  JsonValue report =
-      classify_run_report(entry->circuit.name(), heuristic, rd, &metrics);
-  report.set("serve",
-             serve_payload(id, has_id, cache_hit, content_key, &cache));
-  return report;
+  out.circuit = std::shared_ptr<const Circuit>(entry, &entry->circuit);
+  out.circuit_name = entry->circuit.name();
+  out.rd.sort_seconds = entry->sort_seconds;
+  out.rd.prerun_work = entry->prerun_work;
+  if (resilient) {
+    // Every rung classifies under the job's criterion and sort.
+    ResilientOptions ladder;
+    ladder.guard = &guard;
+    ladder.classify = options;
+    out.resilient = classify_resilient(entry->circuit, ladder);
+    out.rd.classify = out.resilient->classify;
+  } else {
+    out.rd.classify = classify_paths(entry->circuit, options);
+  }
+  out.cache_stats = cache.stats();
+  return out;
 }
 
-JsonValue Session::run_atpg(const JsonValue& request, std::uint64_t id,
-                            bool has_id) {
-  std::string name;
-  std::string bench_text;
-  std::function<Circuit()> generator;
-  resolve_circuit(request, &name, &bench_text, &generator);
-  const std::uint64_t max_paths = get_uint(request, "max_paths", 20000);
-
-  ClassifyOptions options;
-  options.collect_paths_limit = max_paths;
-  options.num_threads =
-      static_cast<std::size_t>(get_uint(request, "threads", 1));
-
-  const GuardSpec guard_spec = GuardSpec::from_request(request);
-  ExecGuard guard(guard_spec.options(config_.cancel));
-  guard_spec.arm(guard);
-  options.guard = &guard;
-
-  CircuitCache one_shot(1);
-  CircuitCache& cache = config_.cache != nullptr ? *config_.cache : one_shot;
-  const std::uint64_t content_key = CircuitCache::content_hash(bench_text, "2");
-
-  CircuitCache::BuildOptions build;
-  build.num_threads = options.num_threads;
-  build.work_limit = options.work_limit;
-  build.guard = &guard;
-  bool cache_hit = false;
-  CircuitCache::EntryPtr entry;
-  try {
-    entry = cache.get(bench_text, name, "2", build, &cache_hit, generator);
-  } catch (const GuardTrippedError& tripped) {
-    RdIdentification rd;
-    rd.classify.completed = false;
-    rd.classify.abort_reason = tripped.reason();
-    GeneratedTestSet never_ran;
-    never_ran.completed = false;
-    never_ran.abort_reason = tripped.reason();
-    MetricsRegistry metrics;
-    record_classify_metrics(rd.classify, metrics);
-    JsonValue report = atpg_run_report(name, rd, never_ran, &metrics);
-    report.set("serve", serve_payload(id, has_id, false, content_key, &cache));
-    return report;
-  } catch (const std::invalid_argument& error) {
-    throw BadRequest(error.what());
-  } catch (const std::runtime_error& error) {
-    throw BadRequest(std::string("cannot load circuit: ") + error.what());
-  }
-
-  options.criterion = Criterion::kInputSort;
-  options.sort = &*entry->sort;
-  options.compiled = entry->compiled.get();
-
-  RdIdentification rd;
-  rd.classify = classify_paths(entry->circuit, options);
-  rd.sort_seconds = entry->sort_seconds;
-  rd.prerun_work = entry->prerun_work;
-
+JobResult Session::classify(const Job& job, ExecGuard& guard) {
   MetricsRegistry metrics;
-  record_classify_metrics(rd.classify, metrics);
+  JobResult out = run_classification(job, guard, 0, metrics);
+  record_classify_metrics(out.rd.classify, metrics);
+  const std::string method = out.resilient ? "resilient"
+                             : out.eco      ? "eco:" + job.heuristic
+                                            : job.heuristic;
+  out.report = classify_run_report(out.circuit_name, method, out.rd, &metrics);
+  if (out.resilient) out.report.set("resilient", resilient_json(*out.resilient));
+  if (out.eco) out.report.set("eco", eco_json(*out.eco, out.cone_cache));
+  return out;
+}
 
-  if (!rd.classify.completed) {
-    const AbortReason reason = rd.classify.abort_reason == AbortReason::kNone
-                                   ? AbortReason::kWorkBudget
-                                   : rd.classify.abort_reason;
-    GeneratedTestSet never_ran;
-    never_ran.completed = false;
-    never_ran.abort_reason = reason;
-    JsonValue report =
-        atpg_run_report(entry->circuit.name(), rd, never_ran, &metrics);
-    report.set("serve", serve_payload(id, has_id, cache_hit, content_key, &cache));
-    return report;
+JobResult Session::atpg(const Job& job, ExecGuard& guard) {
+  MetricsRegistry metrics;
+  JobResult out = run_classification(job, guard, job.max_paths, metrics);
+  record_classify_metrics(out.rd.classify, metrics);
+  const ClassifyResult& classified = out.rd.classify;
+  if (!classified.completed) {
+    out.test_set.completed = false;
+    out.test_set.abort_reason = classified.abort_reason;
+  } else if (classified.kept_paths > job.max_paths) {
+    out.over_path_cap = true;
+    return out;
+  } else {
+    std::vector<LogicalPath> paths;
+    paths.reserve(classified.kept_keys.size());
+    for (const auto& key : classified.kept_keys)
+      paths.push_back(LogicalPath::from_key(key));
+    TestSetOptions options;
+    options.guard = &guard;
+    out.test_set = generate_test_set(*out.circuit, paths, options);
+    metrics.add_counter("atpg.robust_nodes", out.test_set.robust_nodes);
+    metrics.add_counter("atpg.nonrobust_nodes", out.test_set.nonrobust_nodes);
+    metrics.add_timer("atpg.wall", out.test_set.wall_seconds);
   }
-  if (rd.classify.kept_paths > max_paths)
-    throw BadRequest("too many must-test paths for ATPG (cap " +
-                     std::to_string(max_paths) + "); raise max_paths");
-
-  std::vector<LogicalPath> paths;
-  paths.reserve(rd.classify.kept_keys.size());
-  for (const auto& key : rd.classify.kept_keys) {
-    LogicalPath path;
-    path.path.leads.assign(key.begin(), key.end() - 1);
-    path.final_pi_value = key.back() != 0;
-    paths.push_back(std::move(path));
-  }
-  TestSetOptions testset_options;
-  testset_options.guard = &guard;
-  const GeneratedTestSet set =
-      generate_test_set(entry->circuit, paths, testset_options);
-
-  metrics.add_counter("atpg.robust_nodes", set.robust_nodes);
-  metrics.add_counter("atpg.nonrobust_nodes", set.nonrobust_nodes);
-  metrics.add_timer("atpg.wall", set.wall_seconds);
-  JsonValue report = atpg_run_report(entry->circuit.name(), rd, set, &metrics);
-  report.set("serve", serve_payload(id, has_id, cache_hit, content_key, &cache));
-  return report;
+  out.report =
+      atpg_run_report(out.circuit_name, out.rd, out.test_set, &metrics);
+  return out;
 }
 
 }  // namespace rd::serve

@@ -1,12 +1,18 @@
 // Unit tests for the shared execution guard: typed abort reasons,
 // ceiling semantics (work / memory / deadline / cancellation),
 // first-trip-wins recording, and the deterministic fault-injection
-// hooks the abort-path tests are built on.
+// hooks the abort-path tests are built on — and the engines' side of
+// the contract: an incomplete result always names its abort reason.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <thread>
 
+#include "atpg/testset.h"
+#include "cache/eco_classify.h"
+#include "core/classify.h"
+#include "gen/examples.h"
+#include "gen/iscas_like.h"
 #include "util/exec_guard.h"
 
 namespace rd {
@@ -143,6 +149,85 @@ TEST(ExecGuard, SharedAcrossThreadsRecordsOneCause) {
   EXPECT_TRUE(guard.tripped());
   EXPECT_EQ(guard.reason(), AbortReason::kWorkBudget);
   EXPECT_GE(guard.work_used(), 10000u);
+}
+
+// ---- !completed implies a named abort_reason, for every engine --------
+
+const AbortReason kTripReasons[] = {AbortReason::kDeadline,
+                                    AbortReason::kMemory,
+                                    AbortReason::kCancelled,
+                                    AbortReason::kWorkBudget};
+
+TEST(AbortInvariant, ClassifyPathsNamesEveryAbort) {
+  const Circuit circuit = make_benchmark("c432");
+  for (const std::size_t threads : {1u, 4u}) {
+    for (const std::uint64_t work_limit : {1u, 100u, 5000u}) {
+      ClassifyOptions options;
+      options.num_threads = threads;
+      options.work_limit = work_limit;
+      const ClassifyResult result = classify_paths(circuit, options);
+      EXPECT_FALSE(result.completed);
+      EXPECT_EQ(result.abort_reason, AbortReason::kWorkBudget)
+          << "threads " << threads << " work_limit " << work_limit;
+    }
+    for (const std::uint64_t trip_at : {1u, 3u, 20u}) {
+      for (const AbortReason reason : kTripReasons) {
+        ExecGuard guard;
+        guard.inject_trip_at(trip_at, reason);
+        ClassifyOptions options;
+        options.num_threads = threads;
+        options.guard = &guard;
+        const ClassifyResult result = classify_paths(circuit, options);
+        EXPECT_FALSE(result.completed);
+        EXPECT_EQ(result.abort_reason, reason)
+            << "threads " << threads << " trip_at " << trip_at;
+      }
+    }
+  }
+}
+
+TEST(AbortInvariant, ClassifyEcoNamesEveryAbort) {
+  const Circuit circuit = make_benchmark("c432");
+  for (const std::string spec : {"1", "2", "fus"}) {
+    ConeCacheStore store;
+    EcoOptions options;
+    options.sort_spec = spec;
+    options.base.work_limit = 100;
+    const EcoResult limited = classify_eco(circuit, store, options);
+    EXPECT_FALSE(limited.classify.completed) << spec;
+    EXPECT_EQ(limited.classify.abort_reason, AbortReason::kWorkBudget)
+        << spec;
+    for (const AbortReason reason : kTripReasons) {
+      ExecGuard guard;
+      guard.inject_trip_at(3, reason);
+      EcoOptions guarded;
+      guarded.sort_spec = spec;
+      guarded.base.guard = &guard;
+      ConeCacheStore cold;
+      const EcoResult tripped = classify_eco(circuit, cold, guarded);
+      EXPECT_FALSE(tripped.classify.completed) << spec;
+      EXPECT_EQ(tripped.classify.abort_reason, reason) << spec;
+    }
+  }
+}
+
+TEST(AbortInvariant, GenerateTestSetNamesEveryAbort) {
+  const Circuit circuit = c17();
+  ClassifyOptions collect;
+  collect.collect_paths_limit = 1000;
+  std::vector<LogicalPath> paths;
+  for (const auto& key : classify_paths(circuit, collect).kept_keys)
+    paths.push_back(LogicalPath::from_key(key));
+  ASSERT_FALSE(paths.empty());
+  for (const AbortReason reason : kTripReasons) {
+    ExecGuard guard;
+    guard.inject_trip_at(1, reason);
+    TestSetOptions options;
+    options.guard = &guard;
+    const GeneratedTestSet set = generate_test_set(circuit, paths, options);
+    EXPECT_FALSE(set.completed);
+    EXPECT_EQ(set.abort_reason, reason);
+  }
 }
 
 }  // namespace

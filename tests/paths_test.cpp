@@ -152,6 +152,16 @@ TEST(Paths, LogicalPathKeysDistinguishTransitions) {
   EXPECT_EQ(rising.key().size(), paths[0].leads.size() + 1);
 }
 
+TEST(Paths, FromKeyInvertsKey) {
+  const Circuit circuit = paper_example_circuit();
+  for (const PhysicalPath& physical : all_paths(circuit)) {
+    for (const bool final_value : {false, true}) {
+      const LogicalPath path{physical, final_value};
+      EXPECT_EQ(LogicalPath::from_key(path.key()), path);
+    }
+  }
+}
+
 TEST(Paths, InvalidPathsRejected) {
   const Circuit circuit = paper_example_circuit();
   PhysicalPath empty;

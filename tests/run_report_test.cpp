@@ -195,8 +195,8 @@ TEST(RunReport, RecordClassifyMetricsFeedsRegistry) {
 }
 
 TEST(RunReport, LoadTimerReachesMetricsTimers) {
-  // rdfast_cli times its netlist load as io.load on the registry the
-  // report is built from; the timer needs no schema change.
+  // The Session times a job's netlist load as io.load on the registry
+  // the report is built from; the timer needs no schema change.
   MetricsRegistry registry;
   Circuit circuit;
   {
@@ -293,13 +293,6 @@ TEST(RunReport, AbortedRunNamesItsReason) {
   aborted.abort_reason = AbortReason::kDeadline;
   const JsonValue json = round_trip(classify_result_json(aborted));
   EXPECT_EQ(json.find("abort_reason")->as_string(), "deadline");
-
-  // A legacy abort that never set a typed reason still serializes a
-  // name (work_budget), never null-on-aborted.
-  ClassifyResult untyped;
-  untyped.completed = false;
-  const JsonValue legacy = round_trip(classify_result_json(untyped));
-  EXPECT_EQ(legacy.find("abort_reason")->as_string(), "work_budget");
 }
 
 TEST(RunReport, AbortReasonJsonCoversEveryReason) {

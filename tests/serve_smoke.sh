@@ -4,12 +4,12 @@
 #   serve_smoke.sh <rdfast_cli> <scratch-dir>
 #
 # Starts `rdfast_cli serve` on an ephemeral port, waits for the port
-# file, runs one classify request over the socket (the request
-# subcommand validates the response frame against the run-report
-# schema and re-validates the saved copy with validate-json), then
-# SIGINTs the server and asserts the cancellation contract from the
-# one-shot CLI: exit code 130 and a typed "ABORTED (cancelled)"
-# status line.
+# file, runs one atpg request whose test generation aborts (exit 1)
+# and one classify request over the socket (the request subcommand
+# validates the response frame against the run-report schema and
+# re-validates the saved copy with validate-json), then SIGINTs the
+# server and asserts the cancellation contract from the one-shot CLI:
+# exit code 130 and a typed "ABORTED (cancelled)" status line.
 set -u
 
 CLI="$1"
@@ -39,6 +39,23 @@ while [ ! -s "$PORT_FILE" ]; do
   fi
   sleep 0.1
 done
+
+# ATPG aborted after its classification completed: on the cold cache
+# (this runs first) the guard trips at its 100th check, inside test
+# generation on c17.  The client exits 1 with the typed status, as
+# `rdfast_cli atpg` does.
+ATPG_OUT="$SCRATCH/serve_smoke_atpg.out"
+"$CLI" request @"$PORT_FILE" --op=atpg --circuit=c17 \
+    --inject-abort-after=100 --inject-abort-reason=deadline >"$ATPG_OUT" 2>&1
+STATUS=$?
+if [ "$STATUS" -ne 1 ] || ! grep -q "ABORTED (deadline)" "$ATPG_OUT" ||
+    ! grep -q '"completed": true' "$ATPG_OUT" ||
+    ! grep -q '"completed": false' "$ATPG_OUT"; then
+  echo "FAIL: aborted atpg request exited $STATUS, expected 1" >&2
+  cat "$ATPG_OUT" >&2
+  kill "$SERVER_PID" 2>/dev/null
+  exit 1
+fi
 
 # One classify over the socket; `request` exits nonzero unless the
 # response validates and the run completed.

@@ -18,7 +18,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/heuristics.h"
 #include "gen/examples.h"
+#include "gen/iscas_like.h"
 #include "io/bench_io.h"
 #include "io/json_writer.h"
 #include "io/run_report.h"
@@ -91,7 +93,7 @@ std::string c17_text() { return write_bench_string(c17()); }
 
 TEST(CircuitCache, MissThenHitSharesOneEntry) {
   CircuitCache cache(4);
-  CircuitCache::BuildOptions build;
+  ClassifyOptions build;
   bool hit = true;
   const auto first = cache.get(c17_text(), "c17", "2", build, &hit);
   EXPECT_FALSE(hit);
@@ -112,7 +114,7 @@ TEST(CircuitCache, MissThenHitSharesOneEntry) {
 
 TEST(CircuitCache, DistinctSortSpecsAreDistinctEntries) {
   CircuitCache cache(8);
-  CircuitCache::BuildOptions build;
+  ClassifyOptions build;
   const auto h2 = cache.get(c17_text(), "c17", "2", build);
   const auto fus = cache.get(c17_text(), "c17", "fus", build);
   EXPECT_NE(h2.get(), fus.get());
@@ -138,7 +140,7 @@ TEST(CircuitCache, RacingClientsBuildExactlyOnce) {
       go.fetch_add(1);
       while (go.load() < kThreads) {
       }  // start together to maximize the race window
-      CircuitCache::BuildOptions build;
+      ClassifyOptions build;
       entries[t] = cache.get(text, "c17", "2", build);
     });
   }
@@ -156,7 +158,7 @@ TEST(CircuitCache, RacingClientsBuildExactlyOnce) {
 
 TEST(CircuitCache, LruEvictionByCapacity) {
   CircuitCache cache(2);
-  CircuitCache::BuildOptions build;
+  ClassifyOptions build;
   const std::string text = c17_text();
   cache.get(text, "c17", "1", build);
   cache.get(text, "c17", "2", build);
@@ -175,7 +177,7 @@ TEST(CircuitCache, LruEvictionByCapacity) {
 
 TEST(CircuitCache, FailedBuildsPropagateAndAreNotCached) {
   CircuitCache cache(4);
-  CircuitCache::BuildOptions build;
+  ClassifyOptions build;
   EXPECT_THROW(cache.get("this is not a netlist", "bad", "2", build),
                std::runtime_error);
   EXPECT_EQ(cache.stats().failures, 1u);
@@ -194,7 +196,7 @@ TEST(CircuitCache, GuardAbortDuringPrerunsIsTypedAndNotCached) {
   CircuitCache cache(4);
   ExecGuard guard;
   guard.inject_trip_at(10, AbortReason::kDeadline);
-  CircuitCache::BuildOptions build;
+  ClassifyOptions build;
   build.guard = &guard;
   try {
     cache.get(c17_text(), "c17", "2", build);
@@ -204,7 +206,7 @@ TEST(CircuitCache, GuardAbortDuringPrerunsIsTypedAndNotCached) {
   }
   EXPECT_EQ(cache.stats().failures, 1u);
   // A later unguarded request succeeds — the abort was per-request.
-  CircuitCache::BuildOptions clean;
+  ClassifyOptions clean;
   EXPECT_NE(cache.get(c17_text(), "c17", "2", clean), nullptr);
 }
 
@@ -240,6 +242,17 @@ TEST(JobQueue, ThrowingJobDoesNotKillTheWorker) {
 
 JsonValue handle(Session& session, const std::string& text) {
   return session.handle(text).response;
+}
+
+// The deterministic part of a classify payload: timings, the
+// per-worker split and the replay counters are schedule-dependent.
+std::string deterministic_classify(const JsonValue& classify) {
+  JsonValue projected = JsonValue::object();
+  for (const auto& [key, value] : classify.members()) {
+    if (key == "wall_seconds" || key == "workers" || key == "memo") continue;
+    projected.set(key, value);
+  }
+  return projected.to_string();
 }
 
 TEST(Session, EveryResponseValidatesAgainstTheSchema) {
@@ -335,16 +348,10 @@ TEST(Session, CachedAndOneShotClassifyAreBitIdentical) {
   EXPECT_TRUE(hit.find("serve")->find("cache_hit")->as_bool());
 
   // Deterministic classify fields must match across all three paths.
-  const auto deterministic = [](const JsonValue& report) {
-    JsonValue projected = JsonValue::object();
-    for (const auto& [key, value] : report.find("classify")->members()) {
-      if (key == "wall_seconds" || key == "workers") continue;
-      projected.set(key, value);
-    }
-    return projected.to_string();
-  };
-  EXPECT_EQ(deterministic(base), deterministic(miss));
-  EXPECT_EQ(deterministic(base), deterministic(hit));
+  EXPECT_EQ(deterministic_classify(*base.find("classify")),
+            deterministic_classify(*miss.find("classify")));
+  EXPECT_EQ(deterministic_classify(*base.find("classify")),
+            deterministic_classify(*hit.find("classify")));
   EXPECT_EQ(base.find("prerun_work")->as_uint64(),
             hit.find("prerun_work")->as_uint64());
 }
@@ -377,15 +384,8 @@ TEST(Session, IncrementalRequestsShareTheConeCache) {
   EXPECT_EQ(warm_cc->find("recovered")->as_uint64(), 0u);
 
   // The served-from-cache run is bit-identical on deterministic fields.
-  const auto deterministic = [](const JsonValue& report) {
-    JsonValue projected = JsonValue::object();
-    for (const auto& [key, value] : report.find("classify")->members()) {
-      if (key == "wall_seconds" || key == "workers") continue;
-      projected.set(key, value);
-    }
-    return projected.to_string();
-  };
-  EXPECT_EQ(deterministic(cold), deterministic(warm));
+  EXPECT_EQ(deterministic_classify(*cold.find("classify")),
+            deterministic_classify(*warm.find("classify")));
 }
 
 // The implication tiers are gone (the static closure, then the learned
@@ -503,6 +503,131 @@ TEST(Session, AtpgRunsEndToEnd) {
   EXPECT_EQ(response.find("kind")->as_string(), "atpg_run");
   EXPECT_TRUE(response.find("atpg")->find("completed")->as_bool());
   EXPECT_EQ(response.find("serve")->find("id")->as_uint64(), 3u);
+}
+
+std::string classify_request(const std::string& circuit,
+                             const std::string& heuristic,
+                             std::size_t threads,
+                             const std::string& extra = "") {
+  return "{\"op\": \"classify\", \"circuit\": {\"builtin\": \"" + circuit +
+         "\"}, \"heuristic\": \"" + heuristic +
+         "\", \"threads\": " + std::to_string(threads) + extra + "}";
+}
+
+/// What the library entry points report for `spec` (Rng(1) tie-breaks,
+/// as every front end uses).
+RdIdentification library_run(const Circuit& circuit, const std::string& spec,
+                             const ClassifyOptions& base) {
+  Rng rng(1);
+  if (spec == "1") return identify_rd_heuristic1(circuit, base, &rng);
+  if (spec == "2") return identify_rd_heuristic2(circuit, base, &rng);
+  if (spec == "inverse")
+    return identify_rd_heuristic2_inverse(circuit, base, &rng);
+  RdIdentification rd;
+  rd.classify = classify_fus(circuit, base);
+  return rd;
+}
+
+void expect_matches_library(const JsonValue& response,
+                            const RdIdentification& expected,
+                            const std::string& label) {
+  ASSERT_TRUE(validate_run_report(response).empty()) << label;
+  ASSERT_EQ(response.find("kind")->as_string(), "classify_run") << label;
+  EXPECT_EQ(deterministic_classify(*response.find("classify")),
+            deterministic_classify(classify_result_json(expected.classify)))
+      << label;
+  EXPECT_EQ(response.find("prerun_work")->as_uint64(), expected.prerun_work)
+      << label;
+}
+
+// The one-shot Session — the CLI's pipeline — reports the same classify
+// block and pre-run work as identify_rd_* / classify_fus, completed or
+// aborted in a pre-run.
+TEST(Session, OneShotMatchesTheLibraryPipeline) {
+  Session session{SessionConfig{}};
+  const std::pair<const char*, Circuit> circuits[] = {
+      {"example", paper_example_circuit()},
+      {"c17", c17()},
+      {"c432", make_benchmark("c432")}};
+  for (const auto& [name, circuit] : circuits) {
+    for (const std::string spec : {"1", "2", "inverse", "fus"}) {
+      for (const std::size_t threads : {1u, 4u}) {
+        ClassifyOptions base;
+        base.num_threads = threads;
+        expect_matches_library(
+            handle(session, classify_request(name, spec, threads)),
+            library_run(circuit, spec, base),
+            std::string(name) + " heuristic " + spec + " threads " +
+                std::to_string(threads));
+      }
+    }
+  }
+  ClassifyOptions aborting;
+  aborting.work_limit = 190000;
+  expect_matches_library(
+      handle(session, classify_request("c432", "2", 1,
+                                       ", \"work_limit\": 190000")),
+      library_run(make_benchmark("c432"), "2", aborting), "aborted pre-run");
+}
+
+// A Heuristic 2 pre-run that exhausts the work limit is reported with
+// its accounting — prerun_work and total_logical — through a cold and a
+// shared cache alike, as identify_rd_heuristic2 reports it.
+TEST(Session, AbortedHeuristic2SortReportsItsPrerun) {
+  ClassifyOptions base;
+  base.work_limit = 190000;
+  Rng rng(1);
+  const RdIdentification expected =
+      identify_rd_heuristic2(make_benchmark("c432"), base, &rng);
+  ASSERT_FALSE(expected.classify.completed);
+  ASSERT_GT(expected.prerun_work, 0u);
+  ASSERT_FALSE(expected.classify.total_logical.is_zero());
+
+  CircuitCache cache(4);
+  SessionConfig cached;
+  cached.cache = &cache;
+  for (const SessionConfig& config : {SessionConfig{}, cached}) {
+    Session session{config};
+    const JsonValue response = handle(
+        session,
+        classify_request("c432", "2", 1, ", \"work_limit\": 190000"));
+    // The classify block carries total_logical, so this also pins it.
+    expect_matches_library(response, expected, "aborted pre-run");
+    EXPECT_EQ(response.find("classify")->find("abort_reason")->as_string(),
+              "work_budget");
+  }
+}
+
+// Every rung of the resilient ladder classifies under the job's sort:
+// on the paper's example Heuristic 1's must-test set is 5 paths, the
+// FS set ("fus") 8.
+TEST(Session, ResilientEngineClassifiesUnderTheJobsSort) {
+  Session session{SessionConfig{}};
+  const std::pair<const char*, std::uint64_t> cases[] = {{"1", 5},
+                                                         {"fus", 8}};
+  for (const auto& [spec, kept] : cases) {
+    const JsonValue response = handle(
+        session,
+        classify_request("example", spec, 1, ", \"engine\": \"resilient\""));
+    ASSERT_TRUE(validate_run_report(response).empty()) << spec;
+    EXPECT_EQ(response.find("method")->as_string(), "resilient");
+    EXPECT_EQ(response.find("resilient")->find("engine")->as_string(),
+              "exact");
+    EXPECT_EQ(response.find("classify")->find("kept_paths")->as_uint64(),
+              kept)
+        << spec;
+    const JsonValue approx =
+        handle(session, classify_request("example", spec, 1));
+    EXPECT_EQ(approx.find("classify")->find("kept_paths")->as_uint64(), kept)
+        << spec;
+  }
+  const JsonValue refused = handle(
+      session,
+      classify_request("c17", "2", 1, ", \"engine\": \"bitpar\""));
+  EXPECT_EQ(refused.find("error")->find("code")->as_string(), "bad_request");
+  EXPECT_NE(refused.find("error")->find("message")->as_string().find(
+                "unknown engine 'bitpar'"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------- server
