@@ -4,9 +4,9 @@
 # Configures a dedicated build tree with -DRD_ENABLE_TSAN=ON, builds
 # the `tsan_tests` aggregate target, and runs every test carrying the
 # `tsan` ctest label — the tests that exercise cross-thread state (the
-# parallel classifier, its property-based invariants including the
-# bit-parallel lane engine under every thread count, and the
-# heuristics that run classifications concurrently).  The label set
+# seed-sharded parallel classifier, its property-based invariants under
+# every thread count, and the heuristics, whose FS/NR pre-runs are
+# parallel classifications).  The label set
 # lives in tests/CMakeLists.txt (rd_add_test ... LABELS tsan):
 # registering a new test there enrolls it in this gate automatically —
 # this script never hand-lists test binaries, so a new target cannot

@@ -2,15 +2,14 @@
 // parallel classification engines (core/classify.cpp and
 // core/classify_parallel.cpp).  Not part of the public API.
 //
-// The unit of work is a *node of the shared path-prefix tree*: the
-// serial engine runs one DFS subtree per (primary input, final stable
-// value, first fanout lead) seed; the parallel engine cuts deeper, at
-// subtree granularity (run_subtree + set_frontier_cut — DESIGN.md
-// §10), so deep narrow circuits still shard.  Either way the outputs
-// merged in canonical discovery order reproduce the classic
-// single-threaded DFS bit for bit:
+// The unit of work is one DFS subtree of the shared path-prefix tree
+// per (primary input, final stable value, first fanout lead) seed: the
+// serial engine runs the seeds in canonical order, the parallel engine
+// runs one pool task per seed (DESIGN.md §10).  Either way the outputs
+// merged in canonical seed order reproduce the classic single-threaded
+// DFS bit for bit:
 //
-//   * kept/work counters are sums of per-node counters (commutative),
+//   * kept/work counters are sums of per-seed counters (commutative),
 //   * kept_controlling_per_lead is an elementwise sum,
 //   * kept keys concatenated in discovery order equal the serial DFS
 //     order, so truncation at collect_paths_limit matches.
@@ -47,7 +46,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -281,7 +279,7 @@ class SharedBudget {
 /// either explore every subtree.  Circuits below kReplayMinLeads
 /// (c17-sized) finish their whole DFS in microseconds, less than
 /// setting up the table and the key costs.  Decided once per
-/// run; the phase-1 frontier pass is excluded separately by SeedDfs.
+/// run.
 inline constexpr std::size_t kReplayMinLeads = 32;
 
 inline bool replay_eligible(const ClassifyOptions& options,
@@ -394,13 +392,10 @@ class SubtreeMemo {
   ExecGuard* guard_;
 };
 
-/// Per-node outputs (a seed subtree or a stolen deeper subtree) that
-/// must be merged in canonical discovery order.  Survivor keys live in
-/// a pooled flat arena — recording a path never heap-allocates per
-/// path; callers materialize ClassifyResult::kept_keys from it during
-/// the (cold) merge.  Shared across SeedDfs instantiations so the
-/// parallel engine's phase-1 (frontier) and phase-2 (plain) drivers
-/// produce merge-compatible values.
+/// Per-seed outputs that must be merged in canonical seed order.
+/// Survivor keys live in a pooled flat arena — recording a path never
+/// heap-allocates per path; callers materialize
+/// ClassifyResult::kept_keys from it during the (cold) merge.
 struct SeedOutcome {
   std::uint64_t kept_paths = 0;
   std::uint64_t work = 0;
@@ -416,16 +411,9 @@ struct SeedOutcome {
 /// is kept on the engine between seeds of the same pair and its
 /// recorded stats delta replayed on reuse, so the cumulative counters
 /// equal a per-seed re-initialization bit for bit.
-///
-/// `kFrontier` selects the phase-1 frontier-cut mode at compile time
-/// (set_frontier_cut + the per-extension split-depth test): the plain
-/// instantiation — the serial engine and the phase-2 workers — carries
-/// zero frontier overhead in its extension hot loop.
-template <class Budget, bool kFrontier = false>
+template <class Budget>
 class SeedDfs {
  public:
-  using SeedOutcome = ::rd::internal::SeedOutcome;
-
   /// `lead_counts`, when non-null, accumulates the per-lead
   /// controlling-value survivor tallies (order-independent sums, so a
   /// per-worker accumulator merges deterministically).
@@ -440,8 +428,7 @@ class SeedDfs {
         !compiled.has_low_order_tables())
       throw std::invalid_argument(
           "kInputSort requires a circuit compiled with its InputSort");
-    if (!kFrontier && lead_counts == nullptr &&
-        replay_eligible(options, compiled)) {
+    if (lead_counts == nullptr && replay_eligible(options, compiled)) {
       memo_ = std::make_unique<SubtreeMemo>(compiled.num_leads(),
                                             budget.guard());
       engine_.enable_key();
@@ -464,97 +451,6 @@ class SeedDfs {
   /// collection (the caller threads the global collect_paths_limit
   /// through it).
   SeedOutcome run_seed(const ClassifySeed& seed, std::uint64_t max_keys) {
-    begin_node(max_keys, seed.final_value);
-    ensure_prefix(seed.pi, seed.final_value);
-    if (prefix_ok_) {
-      const std::size_t mark = engine_.mark();
-      if (!extend_through(seed.first_lead, seed.final_value))
-        outcome_.exhausted = true;
-      engine_.rollback(mark);
-    }
-    return std::move(outcome_);
-  }
-
-  /// Phase-1 frontier mode (the parallel classifier's shallow pass):
-  /// the DFS is cut at `split_depth` leads — a live (non-PO-tipped)
-  /// node at that depth is handed to `on_frontier` as a subtree root
-  /// instead of being descended into — and `on_survivor` fires for
-  /// every path recorded above the cut, so the caller can log the
-  /// interleaved discovery order its merge must reproduce.  Charging
-  /// is untouched: the cut edge itself is charged exactly as the
-  /// serial DFS charges it; everything below the cut is charged by
-  /// whichever worker adopts the subtree (run_subtree).
-  void set_frontier_cut(
-      std::size_t split_depth,
-      std::function<void(const std::vector<LeadId>&)> on_frontier,
-      std::function<void()> on_survivor) {
-    static_assert(kFrontier,
-                  "set_frontier_cut requires a SeedDfs<Budget, true>");
-    split_depth_ = split_depth;
-    on_frontier_ = std::move(on_frontier);
-    on_survivor_ = std::move(on_survivor);
-  }
-
-  /// Adopts the subtree rooted at the frontier node `prefix[0..depth)`
-  /// of `seed` and runs it to completion — the thief's half of the
-  /// checkpoint/rollback discipline.  Re-establishing the prefix is
-  /// *charge-free*: the engine physically replays only the suffix that
-  /// diverges from the trail it already holds (rollback to the common
-  /// ancestor + assert the divergent leads), then restore_stats
-  /// disowns those charges, because phase 1 already charged every
-  /// prefix edge and the per-seed pair delta exactly as the serial
-  /// engine does.  The subtree's own edges (depth > split) are then
-  /// charged normally, so merged counters are bit-identical to serial.
-  SeedOutcome run_subtree(const ClassifySeed& seed, const LeadId* prefix,
-                          std::size_t depth, std::uint64_t max_keys) {
-    begin_node(max_keys, seed.final_value);
-    const ImplicationEngine::Checkpoint replay = engine_.checkpoint();
-    // The trail must be valid too: ensure_prefix (the run_seed path)
-    // caches the pair root without recording a trail, so a matching
-    // prefix alone does not license mark_at/common_prefix below.
-    if (!prefix_valid_ || !trail_.valid() || prefix_pi_ != seed.pi ||
-        prefix_value_ != seed.final_value) {
-      engine_.reset();
-      trail_.invalidate();
-      // Frontier nodes only exist under conflict-free pair prefixes,
-      // so the root assignment cannot fail here.
-      prefix_ok_ = engine_.assign(seed.pi, to_value3(seed.final_value));
-      prefix_pi_ = seed.pi;
-      prefix_value_ = seed.final_value;
-      prefix_valid_ = true;
-      trail_.reset_root(engine_.mark());
-    }
-    const std::size_t keep = trail_.common_prefix(prefix, depth);
-    engine_.rollback(trail_.mark_at(keep));
-    trail_.pop_to(keep);
-    for (std::size_t d = keep; d < depth; ++d) {
-      // The prefix is conflict-free, so the driver's on-path value is
-      // always held on the engine.
-      const CompiledLead& lead = compiled_.lead(prefix[d]);
-      assert_lead_constraints(lead, to_bool(engine_.value(lead.driver)));
-      trail_.push(prefix[d], engine_.mark());
-    }
-    engine_.restore_stats(replay.stats);
-
-    // The engine now holds exactly the serial engine's state at this
-    // tree node.  segment_ carries the full prefix so recorded keys
-    // and lead tallies cover the whole path.
-    segment_.assign(prefix, prefix + depth);
-    const GateId tip = compiled_.lead(prefix[depth - 1]).sink;
-    if (!extend(tip, to_bool(engine_.value(tip))))
-      outcome_.exhausted = true;
-    segment_.clear();
-    return std::move(outcome_);
-  }
-
-  /// Returns a consumed outcome's arena to the pool so the next node's
-  /// collection reuses its capacity.
-  void recycle(PathKeyArena&& arena) {
-    arena_pool_ = std::move(arena);
-  }
-
- private:
-  void begin_node(std::uint64_t max_keys, bool final_value) {
     // Field-wise reset: `outcome_ = SeedOutcome{}` would default-build
     // (and immediately discard) a PathKeyArena, whose constructor
     // allocates — one malloc+free per seed, measurable on circuits
@@ -565,9 +461,24 @@ class SeedDfs {
     outcome_.keys = std::move(arena_pool_);
     outcome_.keys.clear();
     max_keys_ = max_keys;
-    current_final_pi_value_ = final_value;
+    current_final_pi_value_ = seed.final_value;
+    ensure_prefix(seed.pi, seed.final_value);
+    if (prefix_ok_) {
+      const std::size_t mark = engine_.mark();
+      if (!extend_through(seed.first_lead, seed.final_value))
+        outcome_.exhausted = true;
+      engine_.rollback(mark);
+    }
+    return std::move(outcome_);
   }
 
+  /// Returns a consumed outcome's arena to the pool so the next seed's
+  /// collection reuses its capacity.
+  void recycle(PathKeyArena&& arena) {
+    arena_pool_ = std::move(arena);
+  }
+
+ private:
   /// Leaves the engine holding exactly the (pi, value) assignment (and
   /// its implications).  On a cache hit the assignment is not re-run;
   /// the recorded stats delta is replayed instead, so the cumulative
@@ -631,18 +542,7 @@ class SeedDfs {
     if (assert_lead_constraints(lead, tip_value)) {
       const Value3 sink_value = engine_.value(lead.sink);
       segment_.push_back(lead_id);
-      bool descend = true;
-      if constexpr (kFrontier) {
-        if (segment_.size() >= split_depth_ &&
-            compiled_.semantics(lead.sink).type != GateType::kOutput) {
-          // Frontier cut: this live node becomes a phase-2 subtree
-          // root.  Its edge was charged above, exactly as serial
-          // charges it.
-          on_frontier_(segment_);
-          descend = false;
-        }
-      }
-      if (descend) ok = extend(lead.sink, to_bool(sink_value));
+      ok = extend(lead.sink, to_bool(sink_value));
       segment_.pop_back();
     }
     engine_.rollback(mark);
@@ -698,9 +598,6 @@ class SeedDfs {
 
   void record_survivor() {
     ++outcome_.kept_paths;
-    if constexpr (kFrontier) {
-      if (on_survivor_) on_survivor_();
-    }
     if (outcome_.keys.size() < max_keys_) {
       // The collected keys are the one allocation that grows without
       // bound with the survivor count; charge the guard with the
@@ -741,17 +638,6 @@ class SeedDfs {
   PathKeyArena arena_pool_;
   std::uint64_t max_keys_ = 0;
   bool current_final_pi_value_ = false;
-
-  // Frontier-cut hooks, only exercised by SeedDfs<Budget, true>
-  // (phase 1 of the parallel engine); if constexpr keeps them out of
-  // the plain instantiation's hot loop entirely.
-  std::size_t split_depth_ = std::numeric_limits<std::size_t>::max();
-  std::function<void(const std::vector<LeadId>&)> on_frontier_;
-  std::function<void()> on_survivor_;
-
-  // Subtree-adoption cursor: the lead prefix currently asserted on the
-  // engine with the watermark after each lead (run_subtree only).
-  PrefixTrail trail_;
 
   // Shared-prefix cache: the (pi, final value) assignment currently
   // held on the engine, its conflict-free flag, and the stats delta it

@@ -5,7 +5,6 @@
 
 #include "paths/counting.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace rd {
 
@@ -25,30 +24,13 @@ InputSort heuristic2_sort(const Circuit& circuit, Rng* tie_breaker,
   options.collect_lead_counts = true;
   options.collect_paths_limit = 0;
 
-  ClassifyResult fs;
-  ClassifyResult nr;
-  const std::size_t threads =
-      ThreadPool::resolve_num_threads(options.num_threads);
-  if (threads >= 2) {
-    // The two pre-runs are independent classifications; evaluate them
-    // concurrently, splitting the thread budget between them.  Each
-    // run's result is thread-count independent, so the sort is too.
-    ClassifyOptions fs_options = options;
-    fs_options.criterion = Criterion::kFunctionalSensitizable;
-    fs_options.num_threads = (threads + 1) / 2;
-    ClassifyOptions nr_options = options;
-    nr_options.criterion = Criterion::kNonRobust;
-    nr_options.num_threads = threads / 2;
-    ThreadPool pool(2);
-    pool.run({[&] { fs = classify_paths(circuit, fs_options); },
-              [&] { nr = classify_paths(circuit, nr_options); }});
-  } else {
-    options.criterion = Criterion::kFunctionalSensitizable;
-    fs = classify_paths(circuit, options);
-
-    options.criterion = Criterion::kNonRobust;
-    nr = classify_paths(circuit, options);
-  }
+  // The pre-runs run one after the other, each on the whole thread
+  // budget, and both run even when FS aborts: the caller reports the
+  // work of both.
+  options.criterion = Criterion::kFunctionalSensitizable;
+  ClassifyResult fs = classify_paths(circuit, options);
+  options.criterion = Criterion::kNonRobust;
+  ClassifyResult nr = classify_paths(circuit, options);
 
   std::vector<BigUint> lead_cost(circuit.num_leads());
   for (LeadId lead = 0; lead < circuit.num_leads(); ++lead) {

@@ -31,11 +31,11 @@ InputSort heuristic1_sort(const Circuit& circuit, Rng* tie_breaker = nullptr);
 /// per-lead |FS_c^sup(l)| and |T_c^sup(l)|; inputs are ranked by the
 /// ascending difference.  The pre-run results are returned for
 /// inspection/benchmarking when out parameters are supplied.  When
-/// `base` is given, its work_limit/backward_implications/num_threads
-/// settings apply to the pre-runs; the two independent pre-runs are
-/// themselves evaluated concurrently when base->num_threads allows
-/// (the thread budget is split between them), and the sort is
-/// identical to the sequential evaluation.
+/// `base` is given, its work_limit/backward_implications/num_threads/
+/// guard settings apply to the pre-runs.  The pre-runs run one after
+/// the other, each with the full num_threads (seed-sharded like any
+/// parallel run), and both run even when the first aborts; the sort
+/// is identical at every thread count.
 InputSort heuristic2_sort(const Circuit& circuit, Rng* tie_breaker = nullptr,
                           ClassifyResult* fs_run = nullptr,
                           ClassifyResult* nr_run = nullptr,

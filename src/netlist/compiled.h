@@ -206,11 +206,10 @@ class CompiledCircuit {
 
   /// Fanout leads of `id`, in the circuit's fanout_leads order.  This
   /// span is the *canonical child order* of the shared path-prefix
-  /// tree: the classifiers (serial, parallel phase-1 frontier cut, and
-  /// stolen-subtree replay) all extend a tip through exactly this
-  /// sequence, so path discovery order — and with it kept_keys
-  /// truncation and every deterministic merge — is identical across
-  /// engines and thread counts.  The order is a construction-time
+  /// tree: the classifiers (serial and seed-sharded parallel) extend a
+  /// tip through exactly this sequence, so path discovery order — and
+  /// with it kept_keys truncation and every deterministic merge — is
+  /// identical across engines and thread counts.  The order is a construction-time
   /// property of the Circuit (Circuit::add_gate wiring order) and is
   /// independent of any PinBefore: π orders reorder side-input
   /// *constraint* tables (side_low), never tree children.

@@ -4,63 +4,6 @@
 
 namespace rd {
 
-namespace {
-
-std::uint64_t saturating_add(std::uint64_t a, std::uint64_t b,
-                             std::uint64_t cap) {
-  const std::uint64_t sum = a + b;
-  return (sum < a || sum > cap) ? cap : sum;
-}
-
-}  // namespace
-
-std::vector<std::uint64_t> prefix_tree_widths(const Circuit& circuit,
-                                              std::size_t max_depth,
-                                              std::uint64_t cap) {
-  // cur[g]: number of live logical prefixes of the current depth whose
-  // tip is gate g (two per physical prefix, one per final value).
-  std::vector<std::uint64_t> cur(circuit.num_gates(), 0);
-  for (GateId pi : circuit.inputs()) cur[pi] = 2;
-
-  std::vector<std::uint64_t> widths;
-  widths.push_back(
-      saturating_add(0, 2 * static_cast<std::uint64_t>(
-                             circuit.inputs().size()), cap));
-  std::vector<std::uint64_t> next(circuit.num_gates(), 0);
-  for (std::size_t depth = 1; depth <= max_depth; ++depth) {
-    std::fill(next.begin(), next.end(), 0);
-    std::uint64_t live = 0;
-    for (GateId g = 0; g < circuit.num_gates(); ++g) {
-      if (cur[g] == 0) continue;
-      for (LeadId lead : circuit.gate(g).fanout_leads) {
-        const GateId sink = circuit.lead(lead).sink;
-        next[sink] = saturating_add(next[sink], cur[g], cap);
-      }
-    }
-    for (GateId g = 0; g < circuit.num_gates(); ++g) {
-      // PO-marker tips are completed paths, not expandable tree nodes.
-      if (circuit.gate(g).type == GateType::kOutput) next[g] = 0;
-      live = saturating_add(live, next[g], cap);
-    }
-    if (live == 0) break;
-    widths.push_back(live);
-    cur.swap(next);
-  }
-  return widths;
-}
-
-std::size_t choose_split_depth(const std::vector<std::uint64_t>& widths,
-                               std::uint64_t target) {
-  if (widths.size() <= 1) return 1;
-  std::uint64_t best = 0;
-  for (std::size_t d = 1; d < widths.size(); ++d)
-    best = std::max(best, widths[d]);
-  const std::uint64_t goal = std::min(target, best);
-  for (std::size_t d = 1; d < widths.size(); ++d)
-    if (widths[d] >= goal) return d;
-  return 1;
-}
-
 BigUint path_tree_edge_count(const Circuit& circuit) {
   // cur[g]: distinct physical prefixes of the current depth ending at
   // g.  Every step's total influx is the number of new tree edges.

@@ -8,21 +8,12 @@
 // simulation layer (no CompiledCircuit/engine dependency — rd_sim
 // links rd_paths, not the other way around):
 //
-//   * PrefixTrail — the traversal cursor: the lead prefix a worker's
-//     implication engine currently holds, paired with the engine trail
-//     watermark recorded after each lead, so descending to any other
-//     tree node costs one rollback to the common ancestor plus a
-//     replay of the divergent suffix;
 //   * PathKeyArena — pooled flat storage for collected path keys (one
 //     append, zero per-path heap allocations);
-//   * prefix_tree_widths / choose_split_depth — the saturating
-//     per-depth node counts used to pick the subtree-sharding frontier
-//     for the parallel classifier;
 //   * path_tree_edge_count / total_path_lead_count — exact BigUint
 //     sharing diagnostics: tree cost vs flat per-path cost.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -78,83 +69,6 @@ class PathKeyArena {
   // allocation-free, which matters to drivers that build one per seed.
   std::vector<std::size_t> ends_;
 };
-
-/// Cursor over the shared path-prefix tree: the lead prefix currently
-/// asserted on a worker's implication engine, with the engine trail
-/// watermark captured after each lead's constraints.  mark_at(d) is
-/// the rollback target that keeps exactly the root assignment plus the
-/// first d leads; moving the cursor to another tree node is
-/// rollback(mark_at(lcp)) + replay of the target's divergent suffix.
-class PrefixTrail {
- public:
-  /// True once reset_root established a root under the engine's
-  /// current epoch.  Invalidate whenever the engine is reset() — every
-  /// stored watermark dies with the old epoch.
-  bool valid() const { return valid_; }
-  void invalidate() {
-    valid_ = false;
-    leads_.clear();
-    marks_.clear();
-  }
-
-  /// Starts a fresh trail whose depth-0 watermark is `root_mark` (the
-  /// engine mark right after the (PI, final value) root assignment).
-  void reset_root(std::size_t root_mark) {
-    valid_ = true;
-    leads_.clear();
-    marks_.assign(1, root_mark);
-  }
-
-  std::size_t depth() const { return leads_.size(); }
-  std::size_t mark_at(std::size_t depth) const { return marks_[depth]; }
-
-  /// Records that `lead`'s constraints were asserted, leaving the
-  /// engine at watermark `mark_after`.
-  void push(LeadId lead, std::size_t mark_after) {
-    leads_.push_back(lead);
-    marks_.push_back(mark_after);
-  }
-
-  void pop_to(std::size_t depth) {
-    leads_.resize(depth);
-    marks_.resize(depth + 1);
-  }
-
-  /// Length of the longest common prefix between the held trail and
-  /// `leads[0..count)`.
-  std::size_t common_prefix(const LeadId* leads, std::size_t count) const {
-    const std::size_t limit = std::min(count, leads_.size());
-    std::size_t d = 0;
-    while (d < limit && leads_[d] == leads[d]) ++d;
-    return d;
-  }
-
- private:
-  bool valid_ = false;
-  std::vector<LeadId> leads_;
-  // Empty until the first reset_root: mark_at/pop_to are only legal on
-  // a valid trail, so the depth-0 slot need not exist before then (and
-  // a default-constructed trail stays allocation-free).
-  std::vector<std::size_t> marks_;
-};
-
-/// Per-depth *live* node counts of the logical path-prefix tree:
-/// widths[d] is the number of distinct d-lead prefixes (over both
-/// final values, hence the count is even) whose tip is not a PO
-/// marker — exactly the candidate subtree roots were the tree split at
-/// depth d.  Counts saturate at `cap` and the vector stops after the
-/// first empty depth or after `max_depth` entries, whichever is first.
-/// widths[0] is twice the PI count.
-std::vector<std::uint64_t> prefix_tree_widths(
-    const Circuit& circuit, std::size_t max_depth,
-    std::uint64_t cap = std::uint64_t{1} << 40);
-
-/// Smallest depth d >= 1 whose width reaches min(target, the best
-/// width any depth in `widths` achieves) — the shallowest frontier
-/// that yields the most parallelism actually available.  Returns 1
-/// when `widths` offers nothing deeper.
-std::size_t choose_split_depth(const std::vector<std::uint64_t>& widths,
-                               std::uint64_t target);
 
 /// Exact number of edges in the *physical* path-prefix tree (each
 /// distinct nonempty lead-prefix is one edge); the logical tree walked

@@ -206,6 +206,10 @@ void validate_job(const Job& job) {
   if (job.engine == "resilient" && job.incremental)
     throw std::invalid_argument(
         "incremental mode does not compose with the resilient engine");
+  if (job.threads > kMaxJobThreads)
+    throw std::invalid_argument(
+        "threads " + std::to_string(job.threads) + " exceeds the limit of " +
+        std::to_string(kMaxJobThreads) + " (0 = all hardware threads)");
 }
 
 ExecGuardOptions GuardSpec::options(CancellationToken* cancel) const {

@@ -23,7 +23,8 @@
 //   classify:  "circuit": {"builtin": "c432"} | {"name": N, "bench": T},
 //              "heuristic": "1"|"2"|"inverse"|"fus" (default "2"),
 //              "engine": "approx"|"resilient" (default "approx"),
-//              "work_limit", "threads" (uints, optional),
+//              "work_limit", "threads" (uints, optional; threads
+//                             at most kMaxJobThreads),
 //              "incremental": bool (optional — cone-cached ECO mode;
 //                             the response carries an "eco" block and
 //                             per-request serve.cone_cache counters;
@@ -109,12 +110,18 @@ struct Job {
   std::string engine = "approx";  // "approx" | "resilient"
   bool incremental = false;       // cone-cached ECO mode
   std::uint64_t work_limit = ClassifyOptions{}.work_limit;
-  std::size_t threads = 1;
+  std::size_t threads = 1;         // 0 = all hardware threads
   std::uint64_t max_paths = 20000;  // atpg: cap on must-test paths
 };
 
-/// Throws std::invalid_argument for an unknown heuristic or engine, or
-/// incremental mode with the resilient engine.
+/// Most worker threads one job may ask for.  `threads` comes from
+/// outside the program (a request field or a CLI flag) and becomes the
+/// thread count of a pool, so it is bounded before anything starts.
+inline constexpr std::size_t kMaxJobThreads = 256;
+
+/// Throws std::invalid_argument for an unknown heuristic or engine,
+/// incremental mode with the resilient engine, or threads above
+/// kMaxJobThreads.
 void validate_job(const Job& job);
 
 /// What a job produced.

@@ -134,25 +134,6 @@ class ImplicationEngine {
   /// it and differential drivers template over both engines.
   void undo_to(std::size_t mark) { rollback(mark); }
 
-  /// A watermark paired with the counter snapshot taken alongside it.
-  /// checkpoint()/rollback(Checkpoint) bracket *disownable* work: state
-  /// and charges both return to the capture point — the primitive
-  /// behind charge-free prefix replay when a worker adopts a stolen
-  /// path-tree node (core/classify_dfs.h run_subtree).
-  struct Checkpoint {
-    std::size_t trail_mark = 0;
-    ImplicationStats stats;
-  };
-
-  Checkpoint checkpoint() const { return Checkpoint{trail_size_, stats_}; }
-
-  /// Undoes state *and* counters back to a checkpoint: the work done
-  /// since capture is disowned as if it never ran.
-  void rollback(const Checkpoint& at) {
-    rollback(at.trail_mark);
-    stats_ = at.stats;
-  }
-
   /// Forgets every assignment in O(1) (epoch bump + trail clear).
   /// Invalidates outstanding marks: after reset(), mark() == 0.
   /// Stats are cumulative and unaffected, exactly like rollback.
@@ -191,14 +172,6 @@ class ImplicationEngine {
   /// prefix).  Keeps the cumulative event stream bit-identical to an
   /// engine that re-ran the assignment sequence from scratch.
   void replay_stats(const ImplicationStats& delta) { stats_.merge(delta); }
-
-  /// Inverse of replay_stats: rewinds the counters to `snapshot`
-  /// without touching the trail.  This disowns charges for work that
-  /// *was* physically executed but is logically cached — a thief
-  /// replaying an already-charged path-tree prefix keeps the state the
-  /// replay built while the charge stream stays bit-identical to the
-  /// serial engine, which established that prefix exactly once.
-  void restore_stats(const ImplicationStats& snapshot) { stats_ = snapshot; }
 
   const CompiledCircuit& compiled() const { return *compiled_; }
 

@@ -134,6 +134,19 @@ TEST(Heuristics, Heuristic2ReportsAnAbortedPrerun) {
   }
 }
 
+TEST(Heuristics, PrerunsUseTheWholeThreadBudget) {
+  // The FS and NR pre-runs run one after the other, each on the whole
+  // pool, not on half of it each.
+  const Circuit circuit = make_benchmark("c432");
+  ClassifyOptions base;
+  base.num_threads = 4;
+  ClassifyResult fs_run;
+  ClassifyResult nr_run;
+  heuristic2_sort(circuit, nullptr, &fs_run, &nr_run, &base);
+  EXPECT_EQ(fs_run.worker_stats.size(), 4u);
+  EXPECT_EQ(nr_run.worker_stats.size(), 4u);
+}
+
 TEST(Heuristics, TieBreakRandomizationIsSeedDeterministic) {
   const Circuit circuit = make_benchmark("c432");
   Rng rng_a(99);

@@ -145,8 +145,33 @@ TEST(ParallelClassify, DispatchFollowsNumThreads) {
   EXPECT_EQ(classify_paths(circuit, options).worker_stats.size(), 2u);
 }
 
+TEST(ParallelClassify, WorkerStatsCoverEverySeed) {
+  // One pool task per canonical seed: the workers' seed counts add up
+  // to the seed count and their work to the run's work.
+  for (const char* name : {"c432", "c1355"}) {
+    const Circuit circuit = make_benchmark(name);
+    std::uint64_t num_seeds = 0;
+    for (const GateId pi : circuit.inputs())
+      num_seeds += 2 * circuit.gate(pi).fanout_leads.size();
+    for (const std::size_t threads : {2u, 4u, 8u}) {
+      ClassifyOptions options;
+      options.num_threads = threads;
+      const ClassifyResult result = classify_paths_parallel(circuit, options);
+      ASSERT_TRUE(result.completed);
+      std::uint64_t seeds = 0;
+      std::uint64_t work = 0;
+      for (const ClassifyWorkerStats& worker : result.worker_stats) {
+        seeds += worker.seeds;
+        work += worker.work;
+      }
+      EXPECT_EQ(seeds, num_seeds) << name << " threads " << threads;
+      EXPECT_EQ(work, result.work) << name << " threads " << threads;
+    }
+  }
+}
+
 TEST(ParallelClassify, Heuristic2MatchesSerialForSameRngSeed) {
-  // The full Heuristic 2 pipeline — two concurrent pre-runs feeding the
+  // The full Heuristic 2 pipeline — the two pre-runs feeding the
   // sort, then the final classification — must be invariant under the
   // engine choice when the tie-breaker RNG seed is fixed.
   for (const Circuit& circuit : differential_circuits()) {

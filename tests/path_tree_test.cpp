@@ -1,7 +1,6 @@
 // Path-prefix-tree layer: the carry-mesh deep generator's closed-form
-// structural counts, the prefix-tree width/split machinery, the pooled
-// key arena, the engine's checkpoint/rollback primitives, and the
-// subtree-sharded parallel classifier under mid-subtree aborts.
+// structural counts and sharing diagnostics, the pooled key arena, and
+// the seed-sharded parallel classifier under mid-subtree aborts.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,7 +11,6 @@
 #include "paths/counting.h"
 #include "paths/path.h"
 #include "paths/prefix_tree.h"
-#include "sim/implication.h"
 #include "util/biguint.h"
 #include "util/exec_guard.h"
 
@@ -70,24 +68,6 @@ TEST(CarryMesh, PrefixTreeWidthsAndSharingDiagnostics) {
   profile.depth = 6;
   const Circuit circuit = make_carry_mesh(profile);
 
-  // widths[d] = 2 * width * 2^d live logical nodes for d <= depth;
-  // depth+1 tips are PO markers, so the vector ends there.
-  const auto widths = prefix_tree_widths(circuit, 64);
-  ASSERT_EQ(widths.size(), profile.depth + 1);
-  for (std::size_t d = 0; d < widths.size(); ++d)
-    EXPECT_EQ(widths[d], (2 * profile.width) << d) << "depth " << d;
-
-  // Saturation cap is honored.
-  const auto capped = prefix_tree_widths(circuit, 64, 20);
-  for (const std::uint64_t w : capped) EXPECT_LE(w, 20u);
-
-  // Smallest depth reaching the target: 8 * 2^d >= 64 at d = 3; a
-  // target beyond every width falls back to the widest depth.
-  EXPECT_EQ(choose_split_depth(widths, 64), 3u);
-  EXPECT_EQ(choose_split_depth(widths, std::uint64_t{1} << 60),
-            profile.depth);
-  EXPECT_EQ(choose_split_depth({8}, 64), 1u);
-
   // Tree edges: width * (3 * 2^depth - 2) (mesh levels plus PO leads);
   // flat lead total: (depth + 1) * width * 2^depth.  The ratio is the
   // Θ(depth) sharing factor the path_tree bench row measures.
@@ -122,70 +102,6 @@ TEST(PathKeyArena, AppendRoundTripAndPooledClear) {
   arena.append({7, 3, 9}, true);
   EXPECT_EQ(arena.capacity_bytes(), reserved);
   EXPECT_EQ(arena.key(0), (std::vector<std::uint32_t>{7, 3, 9, 1}));
-}
-
-TEST(PrefixTrail, CursorBookkeeping) {
-  PrefixTrail trail;
-  EXPECT_FALSE(trail.valid());
-  trail.reset_root(5);
-  EXPECT_TRUE(trail.valid());
-  EXPECT_EQ(trail.depth(), 0u);
-  EXPECT_EQ(trail.mark_at(0), 5u);
-
-  trail.push(10, 8);
-  trail.push(11, 12);
-  trail.push(12, 20);
-  EXPECT_EQ(trail.depth(), 3u);
-  EXPECT_EQ(trail.mark_at(2), 12u);
-
-  const LeadId same[] = {10, 11, 12};
-  const LeadId diverges[] = {10, 99, 12};
-  EXPECT_EQ(trail.common_prefix(same, 3), 3u);
-  EXPECT_EQ(trail.common_prefix(same, 2), 2u);
-  EXPECT_EQ(trail.common_prefix(diverges, 3), 1u);
-
-  trail.pop_to(1);
-  EXPECT_EQ(trail.depth(), 1u);
-  EXPECT_EQ(trail.mark_at(1), 8u);
-  EXPECT_EQ(trail.common_prefix(same, 3), 1u);
-
-  trail.invalidate();
-  EXPECT_FALSE(trail.valid());
-  EXPECT_EQ(trail.common_prefix(same, 3), 0u);
-}
-
-// ---- checkpoint / rollback on the implication engine -----------------------
-
-TEST(Checkpoint, RollbackRestoresStateAndDisownsCharges) {
-  CarryMeshProfile profile;
-  profile.width = 3;
-  profile.depth = 4;
-  const Circuit circuit = make_carry_mesh(profile);
-  ImplicationEngine engine(circuit);
-
-  const GateId pi = circuit.inputs()[0];
-  ASSERT_TRUE(engine.assign(pi, Value3::kOne));
-  const ImplicationEngine::Checkpoint cp = engine.checkpoint();
-  const std::size_t held = engine.num_assigned();
-
-  // Tentative work past the checkpoint...
-  ASSERT_TRUE(engine.assign(circuit.inputs()[1], Value3::kZero));
-  ASSERT_TRUE(engine.assign(circuit.inputs()[2], Value3::kOne));
-  ASSERT_NE(engine.stats(), cp.stats);
-
-  // ...fully disowned: trail and counters both return to the capture.
-  engine.rollback(cp);
-  EXPECT_EQ(engine.num_assigned(), held);
-  EXPECT_EQ(engine.stats(), cp.stats);
-  EXPECT_EQ(engine.value(circuit.inputs()[1]), Value3::kUnknown);
-  EXPECT_EQ(engine.value(pi), Value3::kOne);
-
-  // restore_stats alone rewinds counters but keeps state — the
-  // charge-free prefix replay a subtree thief performs.
-  ASSERT_TRUE(engine.assign(circuit.inputs()[1], Value3::kZero));
-  engine.restore_stats(cp.stats);
-  EXPECT_EQ(engine.stats(), cp.stats);
-  EXPECT_EQ(engine.value(circuit.inputs()[1]), Value3::kZero);
 }
 
 // ---- deep-mesh classification: serial / parallel / aborts ------------------
@@ -234,13 +150,19 @@ TEST(PathTreeClassify, InjectedGuardTripMidSubtreeIsTyped) {
   profile.depth = 8;
   const Circuit circuit = make_carry_mesh(profile);
   for (const std::size_t threads : {1u, 2u, 4u}) {
+    // Every seed polls the guard at least once, so half the checks of
+    // an untripped run is a check inside the run, on a pool worker.
+    ExecGuard untripped;
+    ClassifyOptions options = mesh_options(threads);
+    options.guard = &untripped;
+    ASSERT_TRUE(classify_paths_parallel(circuit, options).completed);
+    const std::uint64_t trip_at = untripped.checks() / 2;
+    ASSERT_GE(trip_at, 1u);
+
     ExecGuard guard;
-    // Trips well past phase 1's seed boundaries: the failing check
-    // lands inside a stolen subtree on a pool worker.
-    guard.inject_at_check(20, [] {
+    guard.inject_at_check(trip_at, [] {
       throw GuardTrippedError(AbortReason::kMemory);
     });
-    ClassifyOptions options = mesh_options(threads);
     options.guard = &guard;
     const ClassifyResult result = classify_paths_parallel(circuit, options);
     EXPECT_FALSE(result.completed) << "threads " << threads;

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -438,6 +439,40 @@ TEST(Session, LanesOutOfRangeIsABadRequest) {
     EXPECT_NE(
         refused.find("error")->find("message")->as_string().find("lanes"),
         std::string::npos);
+  }
+}
+
+// `threads` reaches a ThreadPool, so validate_job bounds it before any
+// pool starts; calling it directly starts no threads.
+TEST(Session, ValidateJobBoundsThreads) {
+  Job job;
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{1},
+                                    kMaxJobThreads}) {
+    job.threads = threads;
+    EXPECT_NO_THROW(validate_job(job)) << threads;
+  }
+  for (const std::size_t threads :
+       {kMaxJobThreads + 1, std::numeric_limits<std::size_t>::max()}) {
+    job.threads = threads;
+    EXPECT_THROW(validate_job(job), std::invalid_argument) << threads;
+  }
+}
+
+TEST(Session, OversizedThreadsIsABadRequest) {
+  Session session{SessionConfig{}};
+  for (const char* op : {"classify", "atpg"}) {
+    const JsonValue refused = handle(
+        session, std::string("{\"op\": \"") + op +
+                     "\", \"circuit\": {\"builtin\": \"c17\"}, "
+                     "\"threads\": 257}");
+    ASSERT_TRUE(validate_run_report(refused).empty());
+    EXPECT_EQ(refused.find("kind")->as_string(), "serve_error") << op;
+    EXPECT_EQ(refused.find("error")->find("code")->as_string(),
+              "bad_request");
+    EXPECT_NE(refused.find("error")->find("message")->as_string().find(
+                  "threads 257 exceeds the limit of 256"),
+              std::string::npos)
+        << op;
   }
 }
 
