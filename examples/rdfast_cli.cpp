@@ -28,8 +28,11 @@
 //
 // classify options:  --heuristic=1|2|fus|inverse   (default 2)
 //                    --engine=approx|resilient (default approx)
-//                                   resilient runs the exact → SAT →
-//                                   approximate degradation ladder
+//                                   resilient classifies once, then
+//                                   refines each kept path exactly
+//                                   (sweep, else SAT on its PO cone),
+//                                   keeping the classifier's answer
+//                                   when refinement is out of reach
 //                    --work-limit=N
 //                    --threads=N    parallel classification engine
 //                                   (0 = all hardware threads; results

@@ -85,46 +85,6 @@ LogicalPathSet exact_kept_paths(const Circuit& circuit, Criterion criterion,
   return kept;
 }
 
-ExactClassifyOutcome exact_kept_paths_guarded(const Circuit& circuit,
-                                              Criterion criterion,
-                                              const InputSort* sort,
-                                              std::uint64_t max_paths,
-                                              ExecGuard* guard) {
-  ExactClassifyOutcome outcome;
-  const std::size_t n = circuit.inputs().size();
-  if (n > 24 || (criterion == Criterion::kInputSort && sort == nullptr)) {
-    outcome.abort_reason = AbortReason::kWorkBudget;
-    return outcome;
-  }
-  bool guard_stop = false;
-  const bool ok = enumerate_paths(
-      circuit,
-      [&](const PhysicalPath& physical) {
-        if (guard_stop) return;
-        // Charge the actual sweep cost: two logical paths, 2^n vectors.
-        if (guard != nullptr && !guard->check(std::uint64_t{2} << n)) {
-          guard_stop = true;
-          return;
-        }
-        for (const bool final_value : {false, true}) {
-          const LogicalPath logical{physical, final_value};
-          if (exactly_sensitizable(circuit, logical, criterion, sort))
-            outcome.kept.insert(logical.key());
-        }
-      },
-      max_paths);
-  if (guard_stop) {
-    outcome.abort_reason = guard->reason();
-    return outcome;
-  }
-  if (!ok) {
-    outcome.abort_reason = AbortReason::kWorkBudget;
-    return outcome;
-  }
-  outcome.completed = true;
-  return outcome;
-}
-
 std::optional<std::size_t> exact_min_lp_sigma(const Circuit& circuit,
                                               std::uint64_t max_states) {
   const std::size_t n = circuit.inputs().size();

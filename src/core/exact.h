@@ -20,7 +20,6 @@
 #include "core/stabilize.h"
 #include "netlist/circuit.h"
 #include "paths/path.h"
-#include "util/exec_guard.h"
 
 namespace rd {
 
@@ -36,28 +35,6 @@ bool exactly_sensitizable(const Circuit& circuit, const LogicalPath& path,
 LogicalPathSet exact_kept_paths(const Circuit& circuit, Criterion criterion,
                                 const InputSort* sort = nullptr,
                                 std::uint64_t max_paths = 1u << 20);
-
-/// Non-throwing outcome of a guarded exact sweep.  Infeasibility (too
-/// many PIs or paths) and guard trips both surface as !completed with
-/// the typed cause; `kept` then holds whatever was classified so far
-/// and must not be treated as the full set.
-struct ExactClassifyOutcome {
-  bool completed = false;
-  AbortReason abort_reason = AbortReason::kNone;
-  LogicalPathSet kept;
-};
-
-/// Guarded variant of exact_kept_paths for the degradation ladder:
-/// never throws on scale; the guard is polled once per (path, vector)
-/// sweep step.  `completed == false` with kWorkBudget means the
-/// instance is out of the engine's reach (the caller should fall back
-/// to a cheaper engine), any other reason is the guard's trip cause.
-ExactClassifyOutcome exact_kept_paths_guarded(const Circuit& circuit,
-                                              Criterion criterion,
-                                              const InputSort* sort = nullptr,
-                                              std::uint64_t max_paths = 1u
-                                                                        << 20,
-                                              ExecGuard* guard = nullptr);
 
 /// Minimum |LP(σ)| over every complete stabilizing assignment, by
 /// branch-and-bound over the per-(vector, PO) stabilizing-system

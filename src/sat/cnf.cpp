@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "paths/counting.h"
-
 namespace rd {
 
 namespace {
@@ -91,6 +89,16 @@ CircuitCnf::CircuitCnf(const Circuit& circuit, SatSolver& solver) {
     encode_gate(sink, circuit, id, vars_);
 }
 
+CircuitCnf::CircuitCnf(const Circuit& circuit, SatSolver& solver,
+                       GateId root) {
+  const std::vector<GateId> cone = circuit.fanin_cone(root);
+  vars_.resize(circuit.num_gates());
+  for (GateId id : cone) vars_[id] = solver.new_var();
+  ClauseSink sink;
+  sink.solver = &solver;
+  for (GateId id : cone) encode_gate(sink, circuit, id, vars_);
+}
+
 std::string write_dimacs_string(const Circuit& circuit) {
   std::vector<SatVar> vars(circuit.num_gates());
   for (GateId id = 0; id < circuit.num_gates(); ++id)
@@ -166,35 +174,6 @@ std::optional<bool> sat_sensitizable(const Circuit& circuit,
     case SatResult::kUnknown: return std::nullopt;
   }
   return std::nullopt;
-}
-
-std::optional<std::uint64_t> sat_exact_kept_count(const Circuit& circuit,
-                                                  Criterion criterion,
-                                                  const InputSort* sort,
-                                                  std::uint64_t max_paths,
-                                                  std::uint64_t max_conflicts) {
-  SatSolver solver;
-  const CircuitCnf cnf(circuit, solver);
-  std::uint64_t kept = 0;
-  bool unknown = false;
-  const bool complete = enumerate_paths(
-      circuit,
-      [&](const PhysicalPath& physical) {
-        for (const bool final_value : {false, true}) {
-          const auto verdict =
-              sat_sensitizable(circuit, cnf, solver,
-                               LogicalPath{physical, final_value}, criterion,
-                               sort, max_conflicts);
-          if (!verdict.has_value()) {
-            unknown = true;
-            return;
-          }
-          if (*verdict) ++kept;
-        }
-      },
-      max_paths / 2 + 1);
-  if (!complete || unknown) return std::nullopt;
-  return kept;
 }
 
 std::optional<bool> sat_equivalent(const Circuit& a, const Circuit& b,

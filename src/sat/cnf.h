@@ -23,6 +23,13 @@ class CircuitCnf {
  public:
   CircuitCnf(const Circuit& circuit, SatSolver& solver);
 
+  /// Encodes only `circuit.fanin_cone(root)`, keeping the parent's
+  /// gate ids: every query about a path to PO `root` touches only cone
+  /// gates, so it answers as on the whole-circuit encoding while each
+  /// model spans the cone alone.  Gates outside the cone have no
+  /// variable and must not be queried.
+  CircuitCnf(const Circuit& circuit, SatSolver& solver, GateId root);
+
   SatVar gate_var(GateId id) const { return vars_[id]; }
 
   /// Literal asserting "gate output == value".
@@ -43,13 +50,6 @@ std::optional<bool> sat_sensitizable(const Circuit& circuit,
                                      Criterion criterion,
                                      const InputSort* sort = nullptr,
                                      std::uint64_t max_conflicts = 100000);
-
-/// Exact kept-path count via explicit enumeration + SAT queries.
-/// nullopt if the enumeration cap or any conflict budget is hit.
-std::optional<std::uint64_t> sat_exact_kept_count(
-    const Circuit& circuit, Criterion criterion,
-    const InputSort* sort = nullptr, std::uint64_t max_paths = 1u << 22,
-    std::uint64_t max_conflicts = 100000);
 
 /// Miter-based combinational equivalence (PIs and POs matched by
 /// name).  nullopt if the conflict budget is exhausted.
