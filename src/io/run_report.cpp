@@ -43,9 +43,10 @@ JsonValue abort_reason_json(AbortReason reason) {
 JsonValue resilient_json(const ResilientClassifyResult& result) {
   JsonValue out = JsonValue::object();
   out.set("engine", JsonValue::string(engine_rung_name(result.engine)));
-  if (!result.attempted.empty() && result.attempted.front() != result.engine) {
+  // The ladder starts on the exact rung; any other answer degraded from it.
+  if (result.engine != EngineRung::kExact) {
     out.set("degraded_from",
-            JsonValue::string(engine_rung_name(result.attempted.front())));
+            JsonValue::string(engine_rung_name(EngineRung::kExact)));
   } else {
     out.set("degraded_from", JsonValue::null());
   }

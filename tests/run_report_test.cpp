@@ -321,8 +321,6 @@ TEST(RunReport, AtpgBlockCarriesAbortReason) {
 TEST(RunReport, ResilientJsonRecordsLadder) {
   ResilientClassifyResult degraded;
   degraded.engine = EngineRung::kApproximate;
-  degraded.attempted = {EngineRung::kExact, EngineRung::kSatBounded,
-                        EngineRung::kApproximate};
   degraded.degraded_reason = AbortReason::kWorkBudget;
   const JsonValue json = round_trip(resilient_json(degraded));
   EXPECT_EQ(json.find("engine")->as_string(), "approximate");
@@ -331,7 +329,6 @@ TEST(RunReport, ResilientJsonRecordsLadder) {
 
   ResilientClassifyResult direct;
   direct.engine = EngineRung::kExact;
-  direct.attempted = {EngineRung::kExact};
   const JsonValue answered = round_trip(resilient_json(direct));
   EXPECT_EQ(answered.find("engine")->as_string(), "exact");
   EXPECT_TRUE(answered.find("degraded_from")->is_null());
@@ -395,7 +392,6 @@ TEST(RunReportValidate, RejectsMalformedResilientBlock) {
   // The resilient block is optional; a well-formed one passes.
   ResilientClassifyResult ladder;
   ladder.engine = EngineRung::kSatBounded;
-  ladder.attempted = {EngineRung::kExact, EngineRung::kSatBounded};
   ladder.degraded_reason = AbortReason::kMemory;
   report.set("resilient", resilient_json(ladder));
   EXPECT_TRUE(validate_run_report(report).empty());
