@@ -3,34 +3,10 @@
 #include <stdexcept>
 
 #include "atpg/path_fault_sim.h"
+#include "paths/conditions.h"
 #include "sim/implication.h"
 
 namespace rd {
-
-namespace {
-
-/// Asserts (NR1) and (NR2) on the engine: the PI's final value and
-/// every on-path side input at its non-controlling value.  Returns
-/// false on conflict (path proven untestable).
-bool assert_nr_conditions(const Circuit& circuit, const LogicalPath& path,
-                          ImplicationEngine& engine) {
-  if (!engine.assign(path_pi(circuit, path.path),
-                     to_value3(path.final_pi_value)))
-    return false;
-  for (LeadId lead_id : path.path.leads) {
-    const Lead& lead = circuit.lead(lead_id);
-    const Gate& sink = circuit.gate(lead.sink);
-    if (!has_controlling_value(sink.type)) continue;
-    const Value3 nc = to_value3(noncontrolling_value(sink.type));
-    for (std::uint32_t pin = 0; pin < sink.fanins.size(); ++pin) {
-      if (pin == lead.pin) continue;
-      if (!engine.assign(sink.fanins[pin], nc)) return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
 
 NonRobustSearch search_nonrobust_test(const Circuit& circuit,
                                       const LogicalPath& path,
@@ -40,7 +16,12 @@ NonRobustSearch search_nonrobust_test(const Circuit& circuit,
     throw std::invalid_argument("search_nonrobust_test: malformed path");
   NonRobustSearch result;
   ImplicationEngine engine(circuit);
-  if (!assert_nr_conditions(circuit, path, engine)) {
+  // (NR1) and (NR2); a conflict proves the path untestable.
+  const bool consistent = for_each_path_condition(
+      circuit, path, kAllSidePins, [&](GateId gate, bool value) {
+        return engine.assign(gate, to_value3(value));
+      });
+  if (!consistent) {
     result.verdict = AtpgVerdict::kRedundant;
     return result;
   }

@@ -126,50 +126,16 @@ std::optional<bool> bdd_sensitizable(const Circuit& circuit,
                                      const LogicalPath& path,
                                      Criterion criterion,
                                      const InputSort* sort) {
-  if (criterion == Criterion::kInputSort && sort == nullptr)
-    throw std::invalid_argument("bdd_sensitizable: kInputSort needs a sort");
   BddManager& manager = bdds.manager();
   try {
-    // Condition: the PI takes its final value...
-    BddRef constraint = manager.bdd_xnor(
-        bdds.gate(path_pi(circuit, path.path)),
-        path.final_pi_value ? kBddTrue : kBddFalse);
-    // ...and the criterion's side-input conditions hold.  The on-path
-    // stable values are parity-determined.
-    bool on_path_value = path.final_pi_value;
-    for (LeadId lead_id : path.path.leads) {
-      const Lead& lead = circuit.lead(lead_id);
-      const Gate& sink = circuit.gate(lead.sink);
-      if (has_controlling_value(sink.type)) {
-        const bool nc = noncontrolling_value(sink.type);
-        for (std::uint32_t pin = 0; pin < sink.fanins.size(); ++pin) {
-          if (pin == lead.pin) continue;
-          bool require_nc = false;
-          if (on_path_value == nc) {
-            require_nc = true;  // (FU2)/(NR2)/(pi2)
-          } else {
-            switch (criterion) {
-              case Criterion::kFunctionalSensitizable:
-                require_nc = false;
-                break;
-              case Criterion::kNonRobust:
-                require_nc = true;
-                break;
-              case Criterion::kInputSort:
-                require_nc = sort->before(lead.sink, pin, lead.pin);
-                break;
-            }
-          }
-          if (!require_nc) continue;
+    BddRef constraint = kBddTrue;
+    for_each_path_condition(
+        circuit, path, criterion, sort, [&](GateId gate, bool value) {
           constraint = manager.bdd_and(
               constraint,
-              manager.bdd_xnor(bdds.gate(sink.fanins[pin]),
-                               nc ? kBddTrue : kBddFalse));
-          if (constraint == kBddFalse) return false;
-        }
-      }
-      if (inverts(sink.type)) on_path_value = !on_path_value;
-    }
+              manager.bdd_xnor(bdds.gate(gate), value ? kBddTrue : kBddFalse));
+          return constraint != kBddFalse;
+        });
     return constraint != kBddFalse;
   } catch (const std::runtime_error&) {
     return std::nullopt;

@@ -25,10 +25,12 @@
 
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "core/input_sort.h"
 #include "netlist/circuit.h"
+#include "paths/conditions.h"
 #include "paths/counting.h"
 #include "sim/implication.h"
 #include "util/biguint.h"
@@ -200,6 +202,32 @@ ClassifyResult classify_paths_parallel(const Circuit& circuit,
 /// slower.  Not for production use.
 ClassifyResult classify_paths_reference(const Circuit& circuit,
                                         const ClassifyOptions& options);
+
+/// for_each_path_condition (paths/conditions.h) under the criterion's
+/// side-pin rule: none for FS, all for NR, and for kInputSort the pins
+/// `sort` orders before the on-path pin.  Throws std::invalid_argument
+/// for kInputSort without a sort.
+template <typename Visit>
+bool for_each_path_condition(const Circuit& circuit, const LogicalPath& path,
+                             Criterion criterion, const InputSort* sort,
+                             Visit&& visit) {
+  switch (criterion) {
+    case Criterion::kFunctionalSensitizable:
+      return for_each_path_condition(circuit, path, kNoSidePins, visit);
+    case Criterion::kNonRobust:
+      return for_each_path_condition(circuit, path, kAllSidePins, visit);
+    case Criterion::kInputSort:
+      if (sort == nullptr)
+        throw std::invalid_argument("kInputSort requires an InputSort");
+      return for_each_path_condition(
+          circuit, path,
+          [sort](GateId gate, std::uint32_t side, std::uint32_t on_path) {
+            return sort->before(gate, side, on_path);
+          },
+          visit);
+  }
+  throw std::invalid_argument("unknown criterion");
+}
 
 /// Single-path query: would `path` survive classify_paths under this
 /// criterion?  Asserts the same side-input conditions along the path

@@ -4,65 +4,39 @@
 #include <functional>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "sim/logic_sim.h"
 
 namespace rd {
 
-namespace {
-
-/// Checks the criterion's conditions for `path` under concrete stable
-/// values (one simulation result).
-bool conditions_hold(const Circuit& circuit, const LogicalPath& path,
-                     Criterion criterion, const InputSort* sort,
-                     const std::vector<bool>& values) {
-  const GateId pi = path_pi(circuit, path.path);
-  if (values[pi] != path.final_pi_value) return false;  // (FU1)/(NR1)/(π1)
-  for (LeadId lead_id : path.path.leads) {
-    const Lead& lead = circuit.lead(lead_id);
-    const Gate& sink = circuit.gate(lead.sink);
-    if (!has_controlling_value(sink.type)) continue;
-    const bool nc = noncontrolling_value(sink.type);
-    const bool on_path_value = values[lead.driver];
-    for (std::uint32_t pin = 0; pin < sink.fanins.size(); ++pin) {
-      if (pin == lead.pin) continue;
-      const bool side_value = values[sink.fanins[pin]];
-      if (on_path_value == nc) {
-        // (FU2)/(NR2)/(π2): all side inputs non-controlling.
-        if (side_value != nc) return false;
-      } else {
-        switch (criterion) {
-          case Criterion::kFunctionalSensitizable:
-            break;
-          case Criterion::kNonRobust:
-            if (side_value != nc) return false;
-            break;
-          case Criterion::kInputSort:
-            if (sort->before(lead.sink, pin, lead.pin) && side_value != nc)
-              return false;
-            break;
-        }
-      }
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
 bool exactly_sensitizable(const Circuit& circuit, const LogicalPath& path,
                           Criterion criterion, const InputSort* sort) {
   const std::size_t n = circuit.inputs().size();
-  if (n > 24)
+  if (n > kSweepMaxInputs)
     throw std::invalid_argument("exactly_sensitizable: too many inputs");
-  if (criterion == Criterion::kInputSort && sort == nullptr)
-    throw std::invalid_argument("kInputSort requires an InputSort");
+  // The literals take each on-path value from the inversion parity,
+  // while a vector's own on-path value is the simulated one.  The two
+  // agree along every prefix whose literals hold: a controlling on-path
+  // value fixes the gate's output whatever its side inputs, and a
+  // non-controlling one does so once its side inputs are
+  // non-controlling.  So checking the parity literals under each vector
+  // is checking the conditions with its simulated values.
+  std::vector<std::pair<GateId, bool>> literals;
+  for_each_path_condition(circuit, path, criterion, sort,
+                          [&](GateId gate, bool value) {
+                            literals.emplace_back(gate, value);
+                            return true;
+                          });
   std::vector<bool> input_values(n);
   for (std::uint64_t minterm = 0; minterm < (std::uint64_t{1} << n);
        ++minterm) {
     for (std::size_t i = 0; i < n; ++i) input_values[i] = (minterm >> i) & 1;
     const auto values = simulate(circuit, input_values);
-    if (conditions_hold(circuit, path, criterion, sort, values)) return true;
+    if (std::all_of(literals.begin(), literals.end(), [&](const auto& lit) {
+          return values[lit.first] == lit.second;
+        }))
+      return true;
   }
   return false;
 }

@@ -13,6 +13,7 @@
 // and is guarded accordingly.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 
@@ -23,8 +24,11 @@
 
 namespace rd {
 
+/// The most PIs the 2^n sweep (exactly_sensitizable) accepts.
+inline constexpr std::size_t kSweepMaxInputs = 24;
+
 /// True if some input vector satisfies the chosen criterion's
-/// conditions for the logical path.  Requires ≤ 24 PIs.
+/// conditions for the logical path.  Requires ≤ kSweepMaxInputs PIs.
 /// `sort` is consulted only for Criterion::kInputSort.
 bool exactly_sensitizable(const Circuit& circuit, const LogicalPath& path,
                           Criterion criterion,

@@ -61,7 +61,8 @@ class ConeSolvers {
 
 bool sweep_feasible(const Circuit& circuit, const ResilientOptions& options) {
   const std::size_t num_inputs = circuit.inputs().size();
-  return num_inputs <= options.exact_max_inputs && num_inputs <= 24;
+  return num_inputs <= options.exact_max_inputs &&
+         num_inputs <= kSweepMaxInputs;
 }
 
 /// Rungs 1 and 2 of the per-path ladder: the sweep, else SAT on the

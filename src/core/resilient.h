@@ -57,7 +57,8 @@ struct ResilientOptions {
   ExecGuard* guard = nullptr;
 
   /// Rung 1 feasibility: skipped entirely above this many PIs (the
-  /// sweep is 2^n per path; the hard engine limit is 24).
+  /// sweep is 2^n per path and never runs above kSweepMaxInputs,
+  /// core/exact.h).
   std::size_t exact_max_inputs = 20;
 
   /// The classifier's configuration (criterion and sort are read by

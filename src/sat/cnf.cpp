@@ -133,41 +133,12 @@ std::optional<bool> sat_sensitizable(const Circuit& circuit,
                                      Criterion criterion,
                                      const InputSort* sort,
                                      std::uint64_t max_conflicts) {
-  if (criterion == Criterion::kInputSort && sort == nullptr)
-    throw std::invalid_argument("sat_sensitizable: kInputSort needs a sort");
   std::vector<SatLit> assumptions;
-  assumptions.push_back(
-      cnf.gate_lit(path_pi(circuit, path.path), path.final_pi_value));
-  bool on_path_value = path.final_pi_value;
-  for (LeadId lead_id : path.path.leads) {
-    const Lead& lead = circuit.lead(lead_id);
-    const Gate& sink = circuit.gate(lead.sink);
-    if (has_controlling_value(sink.type)) {
-      const bool nc = noncontrolling_value(sink.type);
-      for (std::uint32_t pin = 0; pin < sink.fanins.size(); ++pin) {
-        if (pin == lead.pin) continue;
-        bool require_nc = false;
-        if (on_path_value == nc) {
-          require_nc = true;
-        } else {
-          switch (criterion) {
-            case Criterion::kFunctionalSensitizable:
-              require_nc = false;
-              break;
-            case Criterion::kNonRobust:
-              require_nc = true;
-              break;
-            case Criterion::kInputSort:
-              require_nc = sort->before(lead.sink, pin, lead.pin);
-              break;
-          }
-        }
-        if (require_nc)
-          assumptions.push_back(cnf.gate_lit(sink.fanins[pin], nc));
-      }
-    }
-    if (inverts(sink.type)) on_path_value = !on_path_value;
-  }
+  for_each_path_condition(circuit, path, criterion, sort,
+                          [&](GateId gate, bool value) {
+                            assumptions.push_back(cnf.gate_lit(gate, value));
+                            return true;
+                          });
   switch (solver.solve(assumptions, max_conflicts)) {
     case SatResult::kSat: return true;
     case SatResult::kUnsat: return false;

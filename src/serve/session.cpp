@@ -409,6 +409,12 @@ JobResult Session::run_classification(const Job& job, ExecGuard& guard,
     out.rd.sort_seconds = aborted.build().seconds;
     out.rd.prerun_work = aborted.build().prerun_work;
     out.cache_stats = cache.stats();
+    // A ladder that never ran still answers on its approximate rung,
+    // for the pre-run's cause.
+    if (resilient)
+      out.resilient = ResilientClassifyResult{
+          out.rd.classify, EngineRung::kApproximate,
+          out.rd.classify.abort_reason};
     return out;
   }
 

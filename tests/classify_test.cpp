@@ -9,8 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <map>
 #include <optional>
 #include <set>
+#include <string>
 
 #include "core/classify.h"
 #include "core/exact.h"
@@ -99,6 +102,63 @@ TEST(Classify, PaperExampleSetSizes) {
       classifier_kept_set(circuit, Criterion::kFunctionalSensitizable).size(),
       8u);
   EXPECT_EQ(classifier_kept_set(circuit, Criterion::kNonRobust).size(), 5u);
+}
+
+TEST(PathConditions, PaperExampleLiteralsArePinned) {
+  // y = OR(a, h), h = OR(g1, c), g1 = AND(b, c) under the natural
+  // sort: the PI's final value first, then each constrained side input
+  // at its non-controlling value, lead by lead in pin order.  Columns
+  // are FS, NR and π.
+  const std::map<std::string, std::array<std::string, 3>> expected = {
+      {"a (F) -> y -> y", {"a=0 h=0", "a=0 h=0", "a=0 h=0"}},
+      {"a (R) -> y -> y", {"a=1", "a=1 h=0", "a=1"}},
+      {"b (F) -> g1 -> h -> y -> y",
+       {"b=0 c=0 a=0", "b=0 c=1 c=0 a=0", "b=0 c=0 a=0"}},
+      {"b (R) -> g1 -> h -> y -> y",
+       {"b=1 c=1", "b=1 c=1 c=0 a=0", "b=1 c=1 a=0"}},
+      {"c (F) -> g1 -> h -> y -> y",
+       {"c=0 c=0 a=0", "c=0 b=1 c=0 a=0", "c=0 b=1 c=0 a=0"}},
+      {"c (R) -> g1 -> h -> y -> y",
+       {"c=1 b=1", "c=1 b=1 c=0 a=0", "c=1 b=1 a=0"}},
+      {"c (F) -> h -> y -> y", {"c=0 g1=0 a=0", "c=0 g1=0 a=0",
+                                "c=0 g1=0 a=0"}},
+      {"c (R) -> h -> y -> y", {"c=1", "c=1 g1=0 a=0", "c=1 g1=0 a=0"}},
+  };
+  const Circuit circuit = paper_example_circuit();
+  const InputSort natural = InputSort::natural(circuit);
+  std::size_t checked = 0;
+  enumerate_paths(
+      circuit,
+      [&](const PhysicalPath& physical) {
+        for (const bool final_value : {false, true}) {
+          const LogicalPath path{physical, final_value};
+          const auto row = expected.find(path_to_string(circuit, path));
+          ASSERT_NE(row, expected.end()) << path_to_string(circuit, path);
+          const Criterion criteria[] = {Criterion::kFunctionalSensitizable,
+                                        Criterion::kNonRobust,
+                                        Criterion::kInputSort};
+          for (std::size_t i = 0; i < 3; ++i) {
+            std::string literals;
+            for_each_path_condition(
+                circuit, path, criteria[i], &natural,
+                [&](GateId gate, bool value) {
+                  if (!literals.empty()) literals += ' ';
+                  literals += circuit.gate(gate).name;
+                  literals += value ? "=1" : "=0";
+                  return true;
+                });
+            EXPECT_EQ(literals, row->second[i])
+                << row->first << " criterion " << i;
+          }
+          EXPECT_THROW(for_each_path_condition(
+                           circuit, path, Criterion::kInputSort, nullptr,
+                           [](GateId, bool) { return true; }),
+                       std::invalid_argument);
+          ++checked;
+        }
+      },
+      16);
+  EXPECT_EQ(checked, expected.size());
 }
 
 TEST(Classify, Lemma1HierarchyExact) {

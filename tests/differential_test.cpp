@@ -3,7 +3,7 @@
 // one-sided refinement), parameterized over seeds.
 //
 //   classifier (approx)  vs  SAT (exact):   approx ⊇ exact, path-wise
-//   BDD (exact)          vs  SAT (exact):   equal, path-wise
+//   BDD, sweep (exact)   vs  SAT (exact):   equal, path-wise
 //   bench writer+reader  vs  original:      SAT-equivalent
 //   leaf-dag             vs  cone:          SAT-equivalent
 //   transformations      vs  Lemma 1:       hierarchy holds post-rewrite
@@ -11,6 +11,7 @@
 
 #include "bdd/bdd_circuit.h"
 #include "core/classify.h"
+#include "core/exact.h"
 #include "core/heuristics.h"
 #include "gen/iscas_like.h"
 #include "io/bench_io.h"
@@ -86,7 +87,10 @@ TEST_P(Differential, BddAndSatAgreePathwise) {
   const InputSort sort = InputSort::natural(circuit);
   for (const LogicalPath& path : paths_of(circuit)) {
     for (Criterion criterion :
-         {Criterion::kFunctionalSensitizable, Criterion::kInputSort}) {
+         {Criterion::kFunctionalSensitizable, Criterion::kNonRobust,
+          Criterion::kInputSort}) {
+      SCOPED_TRACE(path_to_string(circuit, path) + " criterion " +
+                   std::to_string(static_cast<int>(criterion)));
       const InputSort* sort_ptr =
           criterion == Criterion::kInputSort ? &sort : nullptr;
       const auto via_bdd =
@@ -95,7 +99,9 @@ TEST_P(Differential, BddAndSatAgreePathwise) {
           sat_sensitizable(circuit, cnf, solver, path, criterion, sort_ptr);
       ASSERT_TRUE(via_bdd.has_value());
       ASSERT_TRUE(via_sat.has_value());
-      ASSERT_EQ(*via_bdd, *via_sat) << path_to_string(circuit, path);
+      ASSERT_EQ(*via_bdd, *via_sat);
+      ASSERT_EQ(exactly_sensitizable(circuit, path, criterion, sort_ptr),
+                *via_sat);
     }
   }
 }

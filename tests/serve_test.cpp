@@ -665,6 +665,26 @@ TEST(Session, ResilientEngineClassifiesUnderTheJobsSort) {
             std::string::npos);
 }
 
+// A resilient job whose Heuristic 2 pre-run aborts still reports the
+// ladder: method "resilient" and a block on the approximate rung,
+// degraded from exact for the pre-run's cause.
+TEST(Session, ResilientJobWithAbortedSortReportsTheLadder) {
+  Session session{SessionConfig{}};
+  const JsonValue response = handle(
+      session, classify_request("c17", "2", 1,
+                                ", \"engine\": \"resilient\","
+                                " \"work_limit\": 10"));
+  ASSERT_TRUE(validate_run_report(response).empty());
+  EXPECT_EQ(response.find("classify")->find("abort_reason")->as_string(),
+            "work_budget");
+  EXPECT_EQ(response.find("method")->as_string(), "resilient");
+  const JsonValue* ladder = response.find("resilient");
+  ASSERT_NE(ladder, nullptr);
+  EXPECT_EQ(ladder->find("engine")->as_string(), "approximate");
+  EXPECT_EQ(ladder->find("degraded_from")->as_string(), "exact");
+  EXPECT_EQ(ladder->find("abort_reason")->as_string(), "work_budget");
+}
+
 // ---------------------------------------------------------------- server
 
 class TestClient {
