@@ -195,6 +195,8 @@ Circuit parse_bench(std::string_view text, std::string circuit_name) {
   // One name table for inputs and gate statements alike.
   NameTable signals(input_names.size() + statements.size());
   Circuit circuit(std::move(circuit_name));
+  circuit.reserve(input_names.size() + statements.size() + output_names.size(),
+                  fanin_names.size() + output_names.size());
   for (const IoStatement& input : input_names) {
     const auto [signal, fresh] = signals.insert(Signal{input.name});
     if (!fresh)
@@ -218,6 +220,7 @@ Circuit parse_bench(std::string_view text, std::string circuit_name) {
   std::vector<const Signal*> resolved(fanin_names.size());
   std::vector<std::uint8_t> state(statements.size(), 0);  // 0 new, 1 open, 2 done
   std::vector<std::pair<std::uint32_t, std::uint32_t>> stack;
+  std::vector<GateId> fanins;
   for (std::uint32_t root = 0; root < statements.size(); ++root) {
     if (state[root] == 2) continue;
     stack.assign(1, {root, 0});
@@ -241,11 +244,11 @@ Circuit parse_bench(std::string_view text, std::string circuit_name) {
         stack.emplace_back(pending, 0);
         continue;
       }
-      std::vector<GateId> fanins(statement.num_fanins);
+      fanins.resize(statement.num_fanins);
       for (std::uint32_t k = 0; k < statement.num_fanins; ++k)
         fanins[k] = resolved[statement.first_fanin + k]->gate;
       statement.signal->gate = circuit.add_gate(
-          statement.type, std::string(statement.name), std::move(fanins));
+          statement.type, std::string(statement.name), fanins);
       state[index] = 2;
       stack.pop_back();
     }

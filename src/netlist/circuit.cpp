@@ -6,12 +6,51 @@
 
 namespace rd {
 
+Circuit::Circuit(const Circuit& other)
+    : name_(other.name_),
+      gates_(other.gates_),
+      leads_(other.leads_),
+      inputs_(other.inputs_),
+      outputs_(other.outputs_),
+      topo_(other.topo_),
+      topo_rank_(other.topo_rank_),
+      levels_(other.levels_),
+      max_level_(other.max_level_),
+      finalized_(other.finalized_),
+      fanin_offsets_(other.fanin_offsets_),
+      fanin_ids_(other.fanin_ids_),
+      fanin_lead_ids_(other.fanin_lead_ids_),
+      fanout_offsets_(other.fanout_offsets_),
+      fanout_lead_ids_(other.fanout_lead_ids_) {
+  rebind_views();
+}
+
+Circuit& Circuit::operator=(const Circuit& other) {
+  if (this != &other) *this = Circuit(other);
+  return *this;
+}
+
+void Circuit::rebind_views() {
+  const bool has_leads = fanout_offsets_.size() == gates_.size() + 1 &&
+                         fanin_lead_ids_.size() == fanin_ids_.size();
+  for (GateId id = 0; id < gates_.size(); ++id) {
+    Gate& gate = gates_[id];
+    const std::uint32_t begin = fanin_offsets_[id];
+    const std::uint32_t count = fanin_offsets_[id + 1] - begin;
+    gate.fanins = {fanin_ids_.data() + begin, count};
+    if (!has_leads) continue;
+    gate.fanin_leads = {fanin_lead_ids_.data() + begin, count};
+    gate.fanout_leads = {fanout_lead_ids_.data() + fanout_offsets_[id],
+                         fanout_offsets_[id + 1] - fanout_offsets_[id]};
+  }
+}
+
 GateId Circuit::add_input(std::string name) {
   return add_gate_impl(GateType::kInput, std::move(name), {});
 }
 
 GateId Circuit::add_gate(GateType type, std::string name,
-                         std::vector<GateId> fanins) {
+                         std::span<const GateId> fanins) {
   switch (type) {
     case GateType::kInput:
       throw std::invalid_argument("use add_input for primary inputs");
@@ -30,15 +69,23 @@ GateId Circuit::add_gate(GateType type, std::string name,
         throw std::invalid_argument("logic gate needs at least one fanin");
       break;
   }
-  return add_gate_impl(type, std::move(name), std::move(fanins));
+  return add_gate_impl(type, std::move(name), fanins);
 }
 
 GateId Circuit::add_output(std::string name, GateId driver) {
-  return add_gate_impl(GateType::kOutput, std::move(name), {driver});
+  return add_gate_impl(GateType::kOutput, std::move(name), {&driver, 1});
+}
+
+void Circuit::reserve(std::size_t gates, std::size_t fanins) {
+  gates_.reserve(gates_.size() + gates);
+  fanin_offsets_.reserve(fanin_offsets_.size() + gates);
+  const GateId* before = fanin_ids_.data();
+  fanin_ids_.reserve(fanin_ids_.size() + fanins);
+  if (fanin_ids_.data() != before) rebind_views();
 }
 
 GateId Circuit::add_gate_impl(GateType type, std::string name,
-                              std::vector<GateId> fanins) {
+                              std::span<const GateId> fanins) {
   check_not_finalized();
   for (GateId fanin : fanins) {
     if (fanin >= gates_.size())
@@ -46,12 +93,23 @@ GateId Circuit::add_gate_impl(GateType type, std::string name,
     if (gates_[fanin].type == GateType::kOutput)
       throw std::invalid_argument("PO marker gates must not drive anything");
   }
+  // `fanins` may view this circuit's own array, which dangles once the
+  // array grows, so a list that does not fit is copied out first.
+  std::vector<GateId> own;
+  const std::size_t begin = fanin_ids_.size();
+  if (begin + fanins.size() > fanin_ids_.capacity()) {
+    own.assign(fanins.begin(), fanins.end());
+    fanins = own;
+  }
+  const GateId* before = fanin_ids_.data();
+  fanin_ids_.resize(begin + fanins.size());
+  std::copy(fanins.begin(), fanins.end(), fanin_ids_.begin() + begin);
+  if (fanin_ids_.data() != before) rebind_views();
+
   const GateId id = static_cast<GateId>(gates_.size());
-  Gate gate;
-  gate.type = type;
-  gate.name = std::move(name);
-  gate.fanins = std::move(fanins);
-  gates_.push_back(std::move(gate));
+  fanin_offsets_.push_back(static_cast<std::uint32_t>(fanin_ids_.size()));
+  gates_.push_back(Gate{type, std::move(name),
+                        {fanin_ids_.data() + begin, fanins.size()}, {}, {}});
   if (type == GateType::kInput) inputs_.push_back(id);
   if (type == GateType::kOutput) outputs_.push_back(id);
   return id;
@@ -69,36 +127,35 @@ void Circuit::finalize() {
   // already guarantees acyclicity, and gate ids are a topological order;
   // we still recompute a topo order explicitly for clarity and to catch
   // internal errors.
-  // Fanouts are counted first so every array below is sized exactly.
-  std::vector<std::uint32_t> fanout_count(gates_.size(), 0);
-  std::size_t num_leads = 0;
-  for (const Gate& gate : gates_) {
-    num_leads += gate.fanins.size();
-    for (GateId fanin : gate.fanins) ++fanout_count[fanin];
+  // Leads number the input pins in gate order, so the fanin lead ids
+  // run 0, 1, 2, ... along fanin_ids_; the fanout lists are a counting
+  // sort of the same leads by driver, each list in lead-id order.
+  const std::size_t num_gates = gates_.size();
+  const std::size_t num_leads = fanin_ids_.size();
+  fanout_offsets_.assign(num_gates + 1, 0);
+  for (GateId fanin : fanin_ids_) ++fanout_offsets_[fanin + 1];
+  for (GateId id = 0; id < num_gates; ++id) {
+    if (gates_[id].type == GateType::kOutput &&
+        fanout_offsets_[id + 1] != 0)
+      throw std::invalid_argument("PO marker gate with fanout");
+    fanout_offsets_[id + 1] += fanout_offsets_[id];
   }
   leads_.clear();
   leads_.reserve(num_leads);
-  for (GateId id = 0; id < gates_.size(); ++id) {
-    gates_[id].fanin_leads.clear();
-    gates_[id].fanout_leads.clear();
-    gates_[id].fanout_leads.reserve(fanout_count[id]);
-  }
-  for (GateId id = 0; id < gates_.size(); ++id) {
-    Gate& gate = gates_[id];
-    gate.fanin_leads.reserve(gate.fanins.size());
-    for (std::uint32_t pin = 0; pin < gate.fanins.size(); ++pin) {
+  fanin_lead_ids_.resize(num_leads);
+  fanout_lead_ids_.resize(num_leads);
+  std::vector<std::uint32_t> next(fanout_offsets_.begin(),
+                                  fanout_offsets_.end() - 1);
+  for (GateId id = 0; id < num_gates; ++id) {
+    for (std::uint32_t pin = 0; pin < gates_[id].fanins.size(); ++pin) {
       const LeadId lead_id = static_cast<LeadId>(leads_.size());
-      leads_.push_back(Lead{gate.fanins[pin], id, pin});
-      gate.fanin_leads.push_back(lead_id);
-      gates_[gate.fanins[pin]].fanout_leads.push_back(lead_id);
+      const GateId driver = gates_[id].fanins[pin];
+      leads_.push_back(Lead{driver, id, pin});
+      fanin_lead_ids_[lead_id] = lead_id;
+      fanout_lead_ids_[next[driver]++] = lead_id;
     }
   }
-
-  for (GateId id = 0; id < gates_.size(); ++id) {
-    const Gate& gate = gates_[id];
-    if (gate.type == GateType::kOutput && !gate.fanout_leads.empty())
-      throw std::invalid_argument("PO marker gate with fanout");
-  }
+  rebind_views();
 
   // Topological order (gate ids already are one; Kahn as a check).
   topo_.clear();
@@ -172,10 +229,10 @@ Circuit Circuit::extract_cone(GateId po) const {
     throw std::invalid_argument("extract_cone requires a PO marker gate");
   Circuit cone(name_ + "." + gates_[po].name);
   std::unordered_map<GateId, GateId> remap;
+  std::vector<GateId> fanins;
   for (GateId id : fanin_cone(po)) {
     const Gate& gate = gates_[id];
-    std::vector<GateId> fanins;
-    fanins.reserve(gate.fanins.size());
+    fanins.clear();
     for (GateId fanin : gate.fanins) fanins.push_back(remap.at(fanin));
     GateId mapped;
     switch (gate.type) {
@@ -186,7 +243,7 @@ Circuit Circuit::extract_cone(GateId po) const {
         mapped = cone.add_output(gate.name, fanins.front());
         break;
       default:
-        mapped = cone.add_gate(gate.type, gate.name, std::move(fanins));
+        mapped = cone.add_gate(gate.type, gate.name, fanins);
         break;
     }
     remap.emplace(id, mapped);

@@ -7,14 +7,20 @@
 // Physical paths are alternating gate/lead sequences from a PI to a PO,
 // so leads — not driver/sink gate pairs — are the unit of path identity.
 //
-// A Circuit is built incrementally (add_input / add_gate / mark_output)
+// A Circuit is built incrementally (add_input / add_gate / add_output)
 // and then finalize()d, which checks structural invariants and computes
 // fanouts, lead ids, topological order and levels.  All analysis code
 // requires a finalized circuit.
+//
+// The adjacency is stored once, as flat CSR arrays owned by the
+// Circuit; each Gate's three lists are std::span views into them, and
+// CompiledCircuit borrows the same arrays instead of copying them.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,18 +41,29 @@ struct Lead {
   std::uint32_t pin = 0;  // position within sink's fanin list
 };
 
+/// One gate.  The three lists view the owning Circuit's CSR arrays, so
+/// a Gate is valid only as long as the Circuit it came from.
 struct Gate {
   GateType type = GateType::kInput;
   std::string name;
-  std::vector<GateId> fanins;        // driver gates, by input pin order
-  std::vector<LeadId> fanin_leads;   // lead per input pin (set by finalize)
-  std::vector<LeadId> fanout_leads;  // leads this gate drives (set by finalize)
+  std::span<const GateId> fanins;  // driver gates, by input pin order
+  // Set by finalize: the lead on each input pin, and the leads this
+  // gate drives.
+  std::span<const LeadId> fanin_leads;
+  std::span<const LeadId> fanout_leads;
 };
 
 class Circuit {
  public:
   /// Optional circuit name (benchmark id), free-form.
   explicit Circuit(std::string name = {}) : name_(std::move(name)) {}
+
+  // A copy owns its own arrays and re-points every Gate's views at
+  // them; the defaulted moves keep the views valid.
+  Circuit(const Circuit& other);
+  Circuit& operator=(const Circuit& other);
+  Circuit(Circuit&&) = default;
+  Circuit& operator=(Circuit&&) = default;
 
   // ---- construction (before finalize) ----
 
@@ -55,10 +72,21 @@ class Circuit {
 
   /// Adds a logic gate with the given fanins (which must already exist).
   /// NOT/BUF take exactly one fanin, AND/OR/NAND/NOR at least one.
-  GateId add_gate(GateType type, std::string name, std::vector<GateId> fanins);
+  GateId add_gate(GateType type, std::string name,
+                  std::span<const GateId> fanins);
+  GateId add_gate(GateType type, std::string name,
+                  std::initializer_list<GateId> fanins) {
+    return add_gate(type, std::move(name),
+                    std::span<const GateId>(fanins.begin(), fanins.size()));
+  }
 
   /// Adds a primary-output marker gate fed by `driver`.
   GateId add_output(std::string name, GateId driver);
+
+  /// Sizes the arrays for `gates` more gates with `fanins` more fanins
+  /// in total, so a reader that knows its netlist's size builds it
+  /// without regrowth.
+  void reserve(std::size_t gates, std::size_t fanins);
 
   /// Validates structure and computes fanouts, leads, topological order
   /// and levels.  Throws std::invalid_argument on malformed circuits
@@ -99,10 +127,30 @@ class Circuit {
   /// Position of gate `g` in topo_order() — usable as a dense index.
   std::uint32_t topo_rank(GateId id) const { return topo_rank_[id]; }
 
+  // ---- flat adjacency (finalized circuits) ----
+  //
+  // The arrays behind the Gate views: gate g's fanins are
+  // fanin_ids()[fanin_offsets()[g] .. fanin_offsets()[g + 1]) and its
+  // fanout leads are the same slice of fanout_lead_ids() under
+  // fanout_offsets().  Lead ids number input pins in gate order, so
+  // the lead on pin p of gate g is fanin_offsets()[g] + p.
+
+  std::span<const std::uint32_t> fanin_offsets() const {
+    return fanin_offsets_;
+  }
+  std::span<const GateId> fanin_ids() const { return fanin_ids_; }
+  std::span<const std::uint32_t> fanout_offsets() const {
+    return fanout_offsets_;
+  }
+  std::span<const LeadId> fanout_lead_ids() const { return fanout_lead_ids_; }
+
  private:
   GateId add_gate_impl(GateType type, std::string name,
-                       std::vector<GateId> fanins);
+                       std::span<const GateId> fanins);
   void check_not_finalized() const;
+  /// Points every Gate's views at this circuit's arrays (the lead
+  /// views only once finalize() has filled them).
+  void rebind_views();
 
   std::string name_;
   std::vector<Gate> gates_;
@@ -114,6 +162,13 @@ class Circuit {
   std::vector<std::uint32_t> levels_;
   std::uint32_t max_level_ = 0;
   bool finalized_ = false;
+
+  // CSR adjacency (the copy constructor lists every member).
+  std::vector<std::uint32_t> fanin_offsets_{0};  // num_gates + 1
+  std::vector<GateId> fanin_ids_;                // one per lead
+  std::vector<LeadId> fanin_lead_ids_;           // one per lead (finalize)
+  std::vector<std::uint32_t> fanout_offsets_;    // num_gates + 1 (finalize)
+  std::vector<LeadId> fanout_lead_ids_;          // one per lead (finalize)
 };
 
 }  // namespace rd

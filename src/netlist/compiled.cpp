@@ -38,14 +38,10 @@ CompiledCircuit::CompiledCircuit(const Circuit& circuit,
   // with f fanins has f such leads, so its rows total f*(f-1); the
   // side_low rows are a subset, so side_all's size doubles as their
   // capacity when a pin order is present.
-  std::size_t fanin_total = 0;
-  std::size_t fanout_total = 0;
   std::size_t side_all_total = 0;
   for (GateId id = 0; id < num_gates; ++id) {
     const Gate& gate = circuit.gate(id);
     const std::size_t f = gate.fanins.size();
-    fanin_total += f;
-    fanout_total += gate.fanout_leads.size();
     if (has_controlling_value(gate.type) && f > 0)
       side_all_total += f * (f - 1);
   }
@@ -57,40 +53,35 @@ CompiledCircuit::CompiledCircuit(const Circuit& circuit,
                 std::is_trivially_destructible_v<CompiledLead>);
   constexpr std::size_t kLeadWords = sizeof(CompiledLead) / 8;
 
+  // The fanin and fanout CSR arrays are the circuit's own (a lead per
+  // fanin pin and per fanout entry, so both hold num_leads ids).
+  fanin_offsets_ = circuit.fanin_offsets().data();
+  fanin_gates_ = circuit.fanin_ids().data();
+  fanout_offsets_ = circuit.fanout_offsets().data();
+  fanout_leads_ = circuit.fanout_lead_ids().data();
+
   num_gates_ = num_gates;
   num_leads_ = num_leads;
-  store32_.resize((num_gates + 1) * 2 + num_gates + fanin_total +
-                  fanout_total + side_all_total + side_low_cap);
-  store64_.resize(num_gates + num_leads * kLeadWords + num_gates +
-                  fanout_total);
+  store32_.resize(num_gates + side_all_total + side_low_cap);
+  store64_.resize(num_gates + num_leads * kLeadWords + num_gates + num_leads);
   semantics_ = reinterpret_cast<GateSemantics*>(store64_.data());
   leads_ = reinterpret_cast<CompiledLead*>(store64_.data() + num_gates);
   for (std::size_t i = 0; i < num_gates; ++i) new (semantics_ + i)
       GateSemantics();
   for (std::size_t i = 0; i < num_leads; ++i) new (leads_ + i)
       CompiledLead();
-  std::uint32_t* const fanin_offsets = store32_.data();
-  std::uint32_t* const fanout_offsets = fanin_offsets + num_gates + 1;
-  std::uint32_t* const single_sources = fanout_offsets + num_gates + 1;
-  std::uint32_t* const fanin_gates = single_sources + num_gates;
-  std::uint32_t* const fanout_leads = fanin_gates + fanin_total;
-  std::uint32_t* const side_all_gates = fanout_leads + fanout_total;
+  std::uint32_t* const single_sources = store32_.data();
+  std::uint32_t* const side_all_gates = single_sources + num_gates;
   std::uint32_t* const side_low_gates = side_all_gates + side_all_total;
   std::uint64_t* const gate_words =
       store64_.data() + num_gates + num_leads * kLeadWords;
   std::uint64_t* const fanout_sinks = gate_words + num_gates;
-  fanin_offsets_ = fanin_offsets;
-  fanout_offsets_ = fanout_offsets;
   single_sources_ = single_sources;
-  fanin_gates_ = fanin_gates;
-  fanout_leads_ = fanout_leads;
   side_all_gates_ = side_all_gates;
   side_low_gates_ = side_low_gates;
   gate_words_ = gate_words;
   fanout_sinks_ = fanout_sinks;
 
-  fanin_offsets[0] = 0;
-  fanout_offsets[0] = 0;
   for (GateId id = 0; id < num_gates; ++id) {
     const Gate& gate = circuit.gate(id);
     GateSemantics& sem = semantics_[id];
@@ -103,11 +94,6 @@ CompiledCircuit::CompiledCircuit(const Circuit& circuit,
       sem.out_noncontrolled = to_value3(noncontrolled_output(gate.type));
     }
     sem.fanin_count = static_cast<std::uint16_t>(gate.fanins.size());
-    fanin_offsets[id + 1] =
-        fanin_offsets[id] + static_cast<std::uint32_t>(gate.fanins.size());
-    fanout_offsets[id + 1] =
-        fanout_offsets[id] +
-        static_cast<std::uint32_t>(gate.fanout_leads.size());
     gate_words[id] = gate_word::make(id, sem);
     single_sources[id] = (sem.kind == GateSemantics::Kind::kSingle ||
                           sem.kind == GateSemantics::Kind::kSingleInv)
@@ -115,17 +101,8 @@ CompiledCircuit::CompiledCircuit(const Circuit& circuit,
                              : kNullGate;
   }
 
-  for (GateId id = 0; id < num_gates; ++id) {
-    const Gate& gate = circuit.gate(id);
-    std::uint32_t* in = fanin_gates + fanin_offsets[id];
-    for (GateId fanin : gate.fanins) *in++ = fanin;
-    std::uint32_t* out = fanout_leads + fanout_offsets[id];
-    std::uint64_t* sinks = fanout_sinks + fanout_offsets[id];
-    for (LeadId lead_id : gate.fanout_leads) {
-      *out++ = lead_id;
-      *sinks++ = gate_words[circuit.lead(lead_id).sink];
-    }
-  }
+  for (std::size_t k = 0; k < num_leads; ++k)
+    fanout_sinks[k] = gate_words[circuit.lead(fanout_leads_[k]).sink];
 
   std::uint32_t side_all_size = 0;
   std::uint32_t side_low_size = 0;

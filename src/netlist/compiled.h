@@ -3,9 +3,9 @@
 // contiguous CSR-style arrays.
 //
 // The analysis Circuit keeps a Gate object per node — a name string
-// plus three std::vectors — which is the right shape for construction
-// and reporting but a terrible shape for the implication inner loop:
-// examining one gate chases four heap pointers and drags ~100 cold
+// plus three views into its flat adjacency arrays — which is the right
+// shape for construction and reporting but a poor one for the
+// implication inner loop: examining one gate through it drags ~90 cold
 // bytes through the cache.  A CompiledCircuit is built once per
 // (circuit, input sort) and then shared read-only by every worker
 // thread; it never mutates after construction, so no synchronization is
@@ -13,8 +13,10 @@
 //
 // Three table families:
 //
-//   * adjacency — fanin gate ids, fanout (lead, sink) pairs, and the
-//     lead records, each as one flat array plus per-gate offsets;
+//   * adjacency — fanin gate ids and fanout lead ids with their
+//     per-gate offsets, borrowed from the Circuit's own CSR arrays
+//     (not copied), plus the fanout sinks as packed words and the
+//     lead records;
 //   * gate semantics — type, controlling/controlled values and
 //     inversion parity predecoded into an 8-byte GateSemantics record,
 //     so the implication engine never re-derives them from GateType;
@@ -170,7 +172,9 @@ class CompiledCircuit {
 
   // Movable but not copyable: the table views below alias the backing
   // stores' heap buffers, which vector moves transfer intact; a copy
-  // would leave the views pointing into the source object.
+  // would leave the views pointing into the source object.  The CSR
+  // adjacency views alias the source circuit's arrays, which is why the
+  // circuit must outlive this object.
   CompiledCircuit(const CompiledCircuit&) = delete;
   CompiledCircuit& operator=(const CompiledCircuit&) = delete;
   CompiledCircuit(CompiledCircuit&&) = default;
@@ -265,7 +269,8 @@ class CompiledCircuit {
   std::size_t num_gates_ = 0;
   std::size_t num_leads_ = 0;
 
-  // Every 32-bit table in one exactly-sized backing store, everything
+  // The adjacency views point into the source circuit.  Every other
+  // 32-bit table is in one exactly-sized backing store, everything
   // else (the 64-bit tables plus the semantics and lead records, which
   // are multiples of 8 bytes and align to it) in a second one, viewed
   // through the raw pointers below.  A per-table std::vector costs one
@@ -282,11 +287,11 @@ class CompiledCircuit {
   GateSemantics* semantics_ = nullptr;  // num_gates records
   CompiledLead* leads_ = nullptr;       // num_leads records
 
-  const std::uint32_t* fanin_offsets_ = nullptr;   // num_gates + 1
-  const std::uint32_t* fanout_offsets_ = nullptr;  // num_gates + 1
+  const std::uint32_t* fanin_offsets_ = nullptr;   // circuit's, num_gates + 1
+  const std::uint32_t* fanout_offsets_ = nullptr;  // circuit's, num_gates + 1
+  const GateId* fanin_gates_ = nullptr;            // circuit's, num_leads
+  const LeadId* fanout_leads_ = nullptr;           // circuit's, num_leads
   const GateId* single_sources_ = nullptr;         // num_gates
-  const GateId* fanin_gates_ = nullptr;
-  const LeadId* fanout_leads_ = nullptr;
   const GateId* side_all_gates_ = nullptr;
   const GateId* side_low_gates_ = nullptr;
   const GateWord* gate_words_ = nullptr;           // num_gates

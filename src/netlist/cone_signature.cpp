@@ -54,10 +54,10 @@ ConeExtraction extract_cone_canonical(const Circuit& circuit, GateId po) {
   ConeExtraction out;
   out.cone = Circuit(circuit.name() + "." + circuit.gate(po).name);
   std::vector<GateId> cone_id(circuit.num_gates(), kNullGate);
+  std::vector<GateId> fanins;
   for (const GateId id : canonical_cone_order(circuit, po)) {
     const Gate& gate = circuit.gate(id);
-    std::vector<GateId> fanins;
-    fanins.reserve(gate.fanins.size());
+    fanins.clear();
     for (const GateId fanin : gate.fanins) fanins.push_back(cone_id[fanin]);
     GateId mapped;
     switch (gate.type) {
@@ -68,7 +68,7 @@ ConeExtraction extract_cone_canonical(const Circuit& circuit, GateId po) {
         mapped = out.cone.add_output(gate.name, fanins.front());
         break;
       default:
-        mapped = out.cone.add_gate(gate.type, gate.name, std::move(fanins));
+        mapped = out.cone.add_gate(gate.type, gate.name, fanins);
         break;
     }
     cone_id[id] = mapped;

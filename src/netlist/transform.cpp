@@ -1,5 +1,6 @@
 #include "netlist/transform.h"
 
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -8,12 +9,14 @@ namespace rd {
 namespace {
 
 /// Shared rebuild scaffolding: walk the source in topological order,
-/// map each gate through `emit`, wire POs at the end.
+/// map each gate through `emit`, wire POs at the end.  `emit` gets the
+/// mapped fanins as a view of one reused buffer, which it may edit.
 template <typename Emit>
 Circuit rebuild(const Circuit& source, const std::string& suffix,
                 const Emit& emit) {
   Circuit result(source.name() + suffix);
   std::vector<GateId> map(source.num_gates(), kNullGate);
+  std::vector<GateId> fanins;
   for (GateId id : source.topo_order()) {
     const Gate& gate = source.gate(id);
     if (gate.type == GateType::kInput) {
@@ -24,10 +27,9 @@ Circuit rebuild(const Circuit& source, const std::string& suffix,
       map[id] = result.add_output(gate.name, map[gate.fanins[0]]);
       continue;
     }
-    std::vector<GateId> fanins;
-    fanins.reserve(gate.fanins.size());
+    fanins.clear();
     for (GateId fanin : gate.fanins) fanins.push_back(map[fanin]);
-    map[id] = emit(result, gate, std::move(fanins));
+    map[id] = emit(result, gate, std::span<GateId>(fanins));
   }
   result.finalize();
   return result;
@@ -41,16 +43,16 @@ Circuit decompose_fanin(const Circuit& circuit, std::size_t max_fanin) {
   std::size_t counter = 0;
   return rebuild(
       circuit, ".k" + std::to_string(max_fanin),
-      [&](Circuit& out, const Gate& gate, std::vector<GateId> fanins) {
+      [&](Circuit& out, const Gate& gate, std::span<GateId> fanins) {
         if (!has_controlling_value(gate.type) ||
             fanins.size() <= max_fanin)
-          return out.add_gate(gate.type, gate.name, std::move(fanins));
+          return out.add_gate(gate.type, gate.name, fanins);
         // Wide gate: non-inverting tree, inversion at the root.
         const GateType base =
             controlling_value(gate.type) ? GateType::kOr : GateType::kAnd;
         // Build all-but-root levels with the non-inverting base, then a
         // root of the original type over the last group.
-        std::vector<GateId> level = std::move(fanins);
+        std::vector<GateId> level(fanins.begin(), fanins.end());
         while (level.size() > max_fanin) {
           std::vector<GateId> next;
           for (std::size_t i = 0; i < level.size(); i += max_fanin) {
@@ -59,16 +61,13 @@ Circuit decompose_fanin(const Circuit& circuit, std::size_t max_fanin) {
               next.push_back(level[i]);
               continue;
             }
-            std::vector<GateId> group(
-                level.begin() + static_cast<std::ptrdiff_t>(i),
-                level.begin() + static_cast<std::ptrdiff_t>(end));
             next.push_back(out.add_gate(
                 base, gate.name + "_t" + std::to_string(counter++),
-                std::move(group)));
+                std::span<const GateId>(level).subspan(i, end - i)));
           }
           level = std::move(next);
         }
-        return out.add_gate(gate.type, gate.name, std::move(level));
+        return out.add_gate(gate.type, gate.name, level);
       });
 }
 
@@ -76,7 +75,7 @@ Circuit map_to_nand(const Circuit& circuit) {
   std::size_t counter = 0;
   return rebuild(
       circuit, ".nand",
-      [&](Circuit& out, const Gate& gate, std::vector<GateId> fanins) {
+      [&](Circuit& out, const Gate& gate, std::span<GateId> fanins) {
         auto inv = [&](GateId signal) {
           return out.add_gate(GateType::kNot,
                               gate.name + "_i" + std::to_string(counter++),
@@ -85,27 +84,25 @@ Circuit map_to_nand(const Circuit& circuit) {
         switch (gate.type) {
           case GateType::kNot:
           case GateType::kBuf:
-            return out.add_gate(gate.type, gate.name, std::move(fanins));
+            return out.add_gate(gate.type, gate.name, fanins);
           case GateType::kNand:
-            return out.add_gate(GateType::kNand, gate.name,
-                                std::move(fanins));
+            return out.add_gate(GateType::kNand, gate.name, fanins);
           case GateType::kAnd: {
             const GateId nand = out.add_gate(
                 GateType::kNand, gate.name + "_n" + std::to_string(counter++),
-                std::move(fanins));
+                fanins);
             return out.add_gate(GateType::kNot, gate.name, {nand});
           }
           case GateType::kOr: {
             // OR(x) = NAND(~x).
             for (GateId& signal : fanins) signal = inv(signal);
-            return out.add_gate(GateType::kNand, gate.name,
-                                std::move(fanins));
+            return out.add_gate(GateType::kNand, gate.name, fanins);
           }
           case GateType::kNor: {
             for (GateId& signal : fanins) signal = inv(signal);
             const GateId nand = out.add_gate(
                 GateType::kNand, gate.name + "_n" + std::to_string(counter++),
-                std::move(fanins));
+                fanins);
             return out.add_gate(GateType::kNot, gate.name, {nand});
           }
           default:
@@ -117,6 +114,7 @@ Circuit map_to_nand(const Circuit& circuit) {
 Circuit strip_buffers(const Circuit& circuit) {
   Circuit result(circuit.name() + ".nobuf");
   std::vector<GateId> map(circuit.num_gates(), kNullGate);
+  std::vector<GateId> fanins;
   for (GateId id : circuit.topo_order()) {
     const Gate& gate = circuit.gate(id);
     switch (gate.type) {
@@ -130,10 +128,9 @@ Circuit strip_buffers(const Circuit& circuit) {
         map[id] = map[gate.fanins[0]];  // rewire through
         break;
       default: {
-        std::vector<GateId> fanins;
-        fanins.reserve(gate.fanins.size());
+        fanins.clear();
         for (GateId fanin : gate.fanins) fanins.push_back(map[fanin]);
-        map[id] = result.add_gate(gate.type, gate.name, std::move(fanins));
+        map[id] = result.add_gate(gate.type, gate.name, fanins);
         break;
       }
     }

@@ -176,6 +176,33 @@ TEST(CircuitCache, LruEvictionByCapacity) {
   EXPECT_FALSE(hit);  // was evicted, rebuilt
 }
 
+TEST(CircuitCache, EvictedEntryKeepsItsAdjacency) {
+  // The entry's CompiledCircuit borrows its Circuit's adjacency arrays,
+  // so a job holding an evicted entry must still classify on valid
+  // memory, identically to a private compile.
+  const std::string text = write_bench_string(make_benchmark("c432"));
+  ClassifyOptions build;
+  CircuitCache::EntryPtr held;
+  {
+    CircuitCache cache(1);
+    held = cache.get(text, "c432", "1", build);
+    cache.get(c17_text(), "c17", "1", build);  // evicts the c432 entry
+    EXPECT_EQ(cache.stats().evictions, 1u);
+  }
+  ASSERT_TRUE(held->sort.has_value());
+  ClassifyOptions options;
+  options.criterion = Criterion::kInputSort;
+  options.sort = &*held->sort;
+  options.compiled = held->compiled.get();
+  const ClassifyResult borrowed = classify_paths(held->circuit, options);
+  options.compiled = nullptr;
+  const ClassifyResult fresh = classify_paths(held->circuit, options);
+  EXPECT_TRUE(borrowed.completed);
+  EXPECT_GT(borrowed.kept_paths, 0u);
+  EXPECT_EQ(borrowed.kept_paths, fresh.kept_paths);
+  EXPECT_EQ(borrowed.work, fresh.work);
+}
+
 TEST(CircuitCache, FailedBuildsPropagateAndAreNotCached) {
   CircuitCache cache(4);
   ClassifyOptions build;
