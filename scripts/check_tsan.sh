@@ -11,7 +11,7 @@
 # registering a new test there enrolls it in this gate automatically —
 # this script never hand-lists test binaries, so a new target cannot
 # be silently skipped.  Intended as the CI step for any change
-# touching util/thread_pool or core/classify_parallel:
+# touching util/thread_pool or the classify driver (core/classify.cpp):
 #
 #   scripts/check_tsan.sh [build-dir]
 #

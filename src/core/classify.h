@@ -50,12 +50,13 @@ struct ClassifyOptions {
   /// Required when criterion == kInputSort.
   const InputSort* sort = nullptr;
 
-  /// Number of worker threads for the classification DFS.  1 (default)
-  /// runs the classic serial engine on the calling thread; 0 resolves
-  /// to the hardware concurrency; N > 1 shards the DFS frontier by
-  /// (primary input, final value, first fanout lead) seed across a
-  /// thread pool.  Results are bit-identical for every setting — the
-  /// merge happens in canonical seed order, never completion order.
+  /// Number of worker threads for the classification DFS; 0 resolves
+  /// to the hardware concurrency.  The DFS is split into one task per
+  /// (primary input, final value, first fanout lead) seed.  At 1
+  /// (default) the tasks run inline on the calling thread, with no
+  /// pool; at N > 1 they run on a pool of N threads.  Results are
+  /// bit-identical for every setting — outcomes are absorbed in
+  /// canonical seed order, never completion order.
   std::size_t num_threads = 1;
 
   /// Tally per-lead controlling-value survivor counts (costs a walk of
@@ -155,7 +156,7 @@ struct ClassifyResult {
   /// and thread-count independent on completed runs).
   std::uint64_t work = 0;
 
-  /// Observability: per-worker accounting (empty on serial runs).
+  /// Observability: per-worker accounting (empty at one thread).
   /// Excluded from the determinism guarantee.
   std::vector<ClassifyWorkerStats> worker_stats;
 
@@ -176,30 +177,18 @@ struct ClassifyResult {
   double wall_seconds = 0.0;
 };
 
-/// Runs the implicit-enumeration classifier over the whole circuit,
-/// dispatching on options.num_threads (see there).
+/// Runs the implicit-enumeration classifier over the whole circuit:
+/// one task per seed, inline on the calling thread when
+/// options.num_threads resolves to 1 and on a thread pool above that
+/// (see ClassifyOptions::num_threads).
 ClassifyResult classify_paths(const Circuit& circuit,
                               const ClassifyOptions& options);
-
-/// Always runs the classic single-threaded engine on the calling
-/// thread, ignoring options.num_threads.  Reference engine for the
-/// determinism test harness.
-ClassifyResult classify_paths_serial(const Circuit& circuit,
-                                     const ClassifyOptions& options);
-
-/// Always runs the sharded engine on a thread pool of
-/// resolve(options.num_threads) workers (so num_threads == 1 still
-/// exercises the parallel code path, which the differential tests
-/// rely on).  Bit-identical to classify_paths_serial on the
-/// deterministic fields for every thread count.
-ClassifyResult classify_paths_parallel(const Circuit& circuit,
-                                       const ClassifyOptions& options);
 
 /// Frozen pre-compilation serial classifier (core/classify_reference.cpp):
 /// the DFS exactly as it stood before the compiled execution layer
 /// (DESIGN.md §9).  Differential-test and perfbench verdict oracle —
-/// bit-identical deterministic fields to classify_paths_serial, only
-/// slower.  Not for production use.
+/// bit-identical deterministic fields to classify_paths at one thread,
+/// only slower.  Not for production use.
 ClassifyResult classify_paths_reference(const Circuit& circuit,
                                         const ClassifyOptions& options);
 

@@ -1,30 +1,27 @@
-// Internal: the implicit-enumeration DFS core shared by the serial and
-// parallel classification engines (core/classify.cpp and
-// core/classify_parallel.cpp).  Not part of the public API.
+// Internal: the implicit-enumeration DFS core behind classify_paths
+// (core/classify.cpp).  Not part of the public API.
 //
 // The unit of work is one DFS subtree of the shared path-prefix tree
-// per (primary input, final stable value, first fanout lead) seed: the
-// serial engine runs the seeds in canonical order, the parallel engine
-// runs one pool task per seed (DESIGN.md §10).  Either way the outputs
-// merged in canonical seed order reproduce the classic single-threaded
-// DFS bit for bit:
+// per (primary input, final stable value, first fanout lead) seed.  At
+// one thread the driver runs the seeds inline in canonical order; above
+// one thread each seed is a pool task (DESIGN.md §10).  Either way the
+// outputs merged in canonical seed order reproduce the classic
+// single-threaded DFS bit for bit:
 //
 //   * kept/work counters are sums of per-seed counters (commutative),
 //   * kept_controlling_per_lead is an elementwise sum,
 //   * kept keys concatenated in discovery order equal the serial DFS
 //     order, so truncation at collect_paths_limit matches.
 //
-// Work accounting is abstracted behind a Budget policy with a single
-// charge() hook called once per DFS gate-extension step — exactly the
-// points where the classic engine incremented ClassifyResult::work —
-// so the serial counter and the parallel shared atomic counter observe
-// the same step stream.
+// Work accounting goes through one WorkBudget per worker, whose
+// charge() is called once per DFS gate-extension step — exactly the
+// points where the classic engine incremented ClassifyResult::work.
 //
 // Compiled hot path (DESIGN.md §9): the DFS runs over a
 // CompiledCircuit — CSR adjacency, predecoded gate semantics, and the
 // static per-lead side-input tables — built once per run and shared
-// read-only by every worker.  Two further optimizations preserve the
-// exact counter streams of the pre-compilation engine:
+// read-only by every worker.  Further optimizations preserve the exact
+// counter streams of the pre-compilation engine:
 //
 //   * PI-prefix sharing: all seeds of one (primary input, final value)
 //     pair start from the identical one-assignment engine state, so a
@@ -32,8 +29,8 @@
 //     otherwise *replays* the recorded ImplicationStats delta of the
 //     cached assignment — the counters advance exactly as if the
 //     assignment had been re-propagated;
-//   * guard striding: SerialBudget polls its ExecGuard once every
-//     kGuardStride charges (passing the accumulated step count, so the
+//   * guard striding: WorkBudget polls the ExecGuard once every
+//     kStride charges (passing the accumulated step count, so the
 //     guard's work counter stays exact) plus a flush at every seed
 //     boundary, instead of a poll per DFS step;
 //   * subtree replay (DESIGN.md §14): an eligible driver caches each
@@ -120,157 +117,88 @@ inline const CompiledCircuit* resolve_compiled(
   return owned.get();
 }
 
-/// Serial work budget: the classic `++work > limit` abort check, plus
-/// an optional ExecGuard.  The work limit is evaluated on every charge
-/// (the completed/aborted verdict stays exact to the step); the guard
-/// is polled once per kGuardStride charges with the accumulated step
-/// count — its work counter advances by the same total, only in
-/// batches — and flushed at seed boundaries by the run loop.
-class SerialBudget {
+/// One worker's view of the run's work budget.  Steps are counted
+/// locally and settled into the shared Record at a settle point: every
+/// kStride steps, at the step that would cross work_limit, and at each
+/// seed boundary (flush).  A settle adds the steps to the shared total,
+/// aborts once the total exceeds work_limit, and otherwise polls the
+/// guard with the same step count, so the guard's work counter
+/// advances by the exact total, only in batches.
+///
+/// With a single worker the total is exact, so a run aborts on the
+/// very step that crosses work_limit and the guard sees the same polls
+/// on every rerun.  With several, the partial counts at an abort
+/// depend on scheduling, but whether the run aborts depends only on
+/// the (thread-count-independent) step total.
+class WorkBudget {
  public:
-  explicit SerialBudget(std::uint64_t limit, ExecGuard* guard = nullptr)
-      : limit_(limit), guard_(guard) {}
-
-  /// Charges one DFS step; false once the budget is exhausted or the
-  /// guard has tripped.
-  bool charge() {
-    if (++used_ > limit_) {
-      if (reason_ == AbortReason::kNone) reason_ = AbortReason::kWorkBudget;
-      return false;
-    }
-    if (guard_ == nullptr) return true;
-    if (guard_tripped_) return false;
-    if (++unpolled_ >= kGuardStride) return poll_guard();
-    return true;
-  }
-
-  /// Publishes the charges accumulated since the last poll (call at
-  /// seed boundaries, so the guard's work counter is exact between
-  /// seeds).  Returns false if the guard has tripped.
-  bool flush() {
-    if (guard_ == nullptr) return true;
-    if (guard_tripped_) return false;
-    if (unpolled_ == 0) return true;
-    return poll_guard();
-  }
-
-  /// True when `steps` further charges all stay within the work limit:
-  /// a subtree of that many steps cannot abort on the limit, so it may
-  /// be replayed in bulk instead of explored.
-  bool fits(std::uint64_t steps) const { return used_ + steps <= limit_; }
-
-  /// Charges `steps` replayed DFS steps at once (call only after
-  /// fits(steps)).  The guard sees the same step total as if they had
-  /// been charged one by one.  False once the guard has tripped.
-  bool charge_bulk(std::uint64_t steps) {
-    used_ += steps;
-    if (guard_ == nullptr) return true;
-    if (guard_tripped_) return false;
-    unpolled_ += steps;
-    if (unpolled_ >= kGuardStride) return poll_guard();
-    return true;
-  }
-
-  std::uint64_t used() const { return used_; }
-
-  /// First trip cause (kNone while charging succeeds).
-  AbortReason reason() const { return reason_; }
-
-  ExecGuard* guard() const { return guard_; }
-
- private:
-  static constexpr std::uint64_t kGuardStride = 64;
-
-  bool poll_guard() {
-    const std::uint64_t batch = unpolled_;
-    unpolled_ = 0;
-    if (guard_->check(batch)) return true;
-    guard_tripped_ = true;
-    if (reason_ == AbortReason::kNone) reason_ = guard_->reason();
-    return false;
-  }
-
-  std::uint64_t limit_;
-  ExecGuard* guard_;
-  std::uint64_t used_ = 0;
-  std::uint64_t unpolled_ = 0;
-  bool guard_tripped_ = false;
-  AbortReason reason_ = AbortReason::kNone;
-};
-
-/// Shared work budget for concurrent workers: steps accumulate into one
-/// atomic total (flushed in batches to keep the hot path cheap), and
-/// the first flush that pushes the total past the limit raises a
-/// cooperative cancellation flag every worker polls on each step.  The
-/// completed/aborted verdict is deterministic — it depends only on
-/// whether the full (thread-count-independent) step total exceeds the
-/// limit — even though the partial counts at the abort point are not.
-class SharedBudget {
- public:
-  /// State shared by all workers of one classification run.
-  struct Shared {
-    explicit Shared(std::uint64_t limit, ExecGuard* guard = nullptr)
+  /// State shared by every worker of one run.  The first abort cause
+  /// is recorded before any budget refuses a charge, and a recorded
+  /// cause cancels the run.
+  struct Record {
+    Record(std::uint64_t limit, ExecGuard* guard)
         : limit(limit), guard(guard) {}
     const std::uint64_t limit;
     ExecGuard* const guard;
     std::atomic<std::uint64_t> total{0};
-    std::atomic<bool> cancelled{false};
-    std::atomic<std::uint8_t> reason{
-        static_cast<std::uint8_t>(AbortReason::kNone)};
+    std::atomic<AbortReason> reason{AbortReason::kNone};
 
-    /// First-wins abort cause shared by every worker.
+    /// Records `cause` unless an earlier cause is recorded.
     void record(AbortReason cause) {
-      std::uint8_t expected = static_cast<std::uint8_t>(AbortReason::kNone);
-      reason.compare_exchange_strong(expected,
-                                     static_cast<std::uint8_t>(cause),
-                                     std::memory_order_relaxed);
-      cancelled.store(true, std::memory_order_relaxed);
+      AbortReason none = AbortReason::kNone;
+      reason.compare_exchange_strong(none, cause, std::memory_order_relaxed);
     }
-
-    AbortReason abort_reason() const {
-      return static_cast<AbortReason>(reason.load(std::memory_order_relaxed));
+    bool cancelled() const {
+      return reason.load(std::memory_order_relaxed) != AbortReason::kNone;
     }
   };
 
-  explicit SharedBudget(Shared& shared) : shared_(&shared) {}
-
-  bool charge() {
-    if (++unflushed_ >= kFlushEvery) flush();
-    return !shared_->cancelled.load(std::memory_order_relaxed);
+  explicit WorkBudget(Record& record) : record_(record) {
+    rearm(record.total.load(std::memory_order_relaxed));
   }
 
-  /// Parallel partial counts are scheduling-dependent anyway; only the
-  /// completed/aborted verdict must be exact, and that depends on the
-  /// step total alone, which bulk charging preserves.
-  bool fits(std::uint64_t) const { return true; }
+  /// Charges one DFS step; false once the run is aborted.  One
+  /// increment and one compare except at a settle point.
+  bool charge() { return ++pending_ < settle_at_ || settle(); }
 
-  /// Adds `steps` replayed DFS steps to the flush batch.
+  /// True when `steps` further charges all stay within the work limit
+  /// as this worker last saw it: a subtree of that many steps cannot
+  /// abort on the limit, so it may be replayed in bulk instead of
+  /// explored.  Exact with a single worker.
+  bool fits(std::uint64_t steps) const { return steps <= headroom_ - pending_; }
+
+  /// Charges `steps` replayed DFS steps at once (call only after
+  /// fits(steps)).  The guard sees the same step total as if they had
+  /// been charged one by one.
   bool charge_bulk(std::uint64_t steps) {
-    unflushed_ += steps;
-    if (unflushed_ >= kFlushEvery) flush();
-    return !shared_->cancelled.load(std::memory_order_relaxed);
+    pending_ += steps;
+    return pending_ < settle_at_ || settle();
   }
 
-  /// Publishes locally counted steps; call at least once per seed.
-  /// The ExecGuard is polled here, at flush granularity, so the hot
-  /// path stays two increments and one relaxed load per step.
+  /// Settles the steps counted since the last settle point (call at
+  /// seed boundaries, so the guard's work counter is exact between
+  /// seeds).
   void flush() {
-    if (unflushed_ == 0) return;
-    const std::uint64_t before =
-        shared_->total.fetch_add(unflushed_, std::memory_order_relaxed);
-    if (before + unflushed_ > shared_->limit)
-      shared_->record(AbortReason::kWorkBudget);
-    if (shared_->guard != nullptr && !shared_->guard->check(unflushed_))
-      shared_->record(shared_->guard->reason());
-    unflushed_ = 0;
+    if (pending_ != 0) settle();
   }
 
-  ExecGuard* guard() const { return shared_->guard; }
+  ExecGuard* guard() const { return record_.guard; }
 
  private:
-  static constexpr std::uint64_t kFlushEvery = 512;
-  Shared* shared_;
-  std::uint64_t unflushed_ = 0;
+  static constexpr std::uint64_t kStride = 64;
+
+  bool settle();
+
+  /// Sets the next settle point from the shared total last seen.
+  void rearm(std::uint64_t total) {
+    headroom_ = total < record_.limit ? record_.limit - total : 0;
+    settle_at_ = headroom_ < kStride ? headroom_ + 1 : kStride;
+  }
+
+  Record& record_;
+  std::uint64_t pending_ = 0;    // steps charged since the last settle
+  std::uint64_t settle_at_ = 0;  // pending_ value of the next settle
+  std::uint64_t headroom_ = 0;   // steps left under the limit at it
 };
 
 /// Whether a run may use the subtree-replay cache.  A replayed subtree
@@ -400,40 +328,54 @@ struct SeedOutcome {
   std::uint64_t kept_paths = 0;
   std::uint64_t work = 0;
   PathKeyArena keys;
-  bool exhausted = false;  // budget ran out inside this subtree
 };
 
-/// DFS driver for one worker (or the single serial thread).  Owns a
-/// private ImplicationEngine — the thread-local implication invariant:
-/// no implication state is ever shared between workers — over the
-/// run-shared read-only CompiledCircuit, and is reused across the
-/// seeds a worker processes.  The (pi, final value) assignment prefix
-/// is kept on the engine between seeds of the same pair and its
-/// recorded stats delta replayed on reuse, so the cumulative counters
-/// equal a per-seed re-initialization bit for bit.
-template <class Budget>
+/// DFS driver for one worker.  Owns a private ImplicationEngine — the
+/// thread-local implication invariant: no implication state is ever
+/// shared between workers — over the run-shared read-only
+/// CompiledCircuit, plus the worker's WorkBudget and per-lead tallies,
+/// and is reused across the seeds a worker processes.  The (pi, final
+/// value) assignment prefix is kept on the engine between seeds of the
+/// same pair and its recorded stats delta replayed on reuse, so the
+/// cumulative counters equal a per-seed re-initialization bit for bit.
 class SeedDfs {
  public:
-  /// `lead_counts`, when non-null, accumulates the per-lead
-  /// controlling-value survivor tallies (order-independent sums, so a
-  /// per-worker accumulator merges deterministically).
   SeedDfs(const CompiledCircuit& compiled, const ClassifyOptions& options,
-          Budget& budget, std::vector<std::uint64_t>* lead_counts)
+          WorkBudget::Record& budget)
       : compiled_(compiled),
         options_(options),
         budget_(budget),
-        lead_counts_(lead_counts),
         engine_(compiled, options.backward_implications) {
     if (options.criterion == Criterion::kInputSort &&
         !compiled.has_low_order_tables())
       throw std::invalid_argument(
           "kInputSort requires a circuit compiled with its InputSort");
-    if (lead_counts == nullptr && replay_eligible(options, compiled)) {
+    if (options.collect_lead_counts)
+      lead_counts_.assign(compiled.num_leads(), 0);
+    if (replay_eligible(options, compiled)) {
       memo_ = std::make_unique<SubtreeMemo>(compiled.num_leads(),
-                                            budget.guard());
+                                            budget.guard);
       engine_.enable_key();
     }
   }
+  ~SeedDfs() {
+    if (key_bytes_ != 0) budget_.guard()->sub_memory(key_bytes_);
+  }
+  SeedDfs(const SeedDfs&) = delete;
+  SeedDfs& operator=(const SeedDfs&) = delete;
+
+  /// Settles this worker's uncharged steps (call at seed boundaries).
+  void flush() { budget_.flush(); }
+
+  /// Per-lead controlling-value survivor tallies over every seed this
+  /// driver has run (empty unless collect_lead_counts; order-independent
+  /// sums, so per-worker tallies merge deterministically).
+  const std::vector<std::uint64_t>& lead_counts() const {
+    return lead_counts_;
+  }
+
+  /// DFS steps over every seed this driver has run.
+  std::uint64_t work() const { return work_; }
 
   /// Implication-engine event counters accumulated over every seed
   /// this driver has run (observability; merged by summation).
@@ -457,18 +399,19 @@ class SeedDfs {
     // whose whole classification takes microseconds.
     outcome_.kept_paths = 0;
     outcome_.work = 0;
-    outcome_.exhausted = false;
     outcome_.keys = std::move(arena_pool_);
     outcome_.keys.clear();
     max_keys_ = max_keys;
     current_final_pi_value_ = seed.final_value;
     ensure_prefix(seed.pi, seed.final_value);
     if (prefix_ok_) {
+      // A false return means the run was aborted, which the budget
+      // record already says.
       const std::size_t mark = engine_.mark();
-      if (!extend_through(seed.first_lead, seed.final_value))
-        outcome_.exhausted = true;
+      extend_through(seed.first_lead, seed.final_value);
       engine_.rollback(mark);
     }
+    work_ += outcome_.work;
     return std::move(outcome_);
   }
 
@@ -531,8 +474,7 @@ class SeedDfs {
 
   /// Extends the current segment through `lead_id`, whose driver has
   /// stable value `tip_value`: charge, assert, cut or descend, roll
-  /// back.  Returns false when the budget is exhausted (serial) or the
-  /// run is cancelled (parallel).
+  /// back.  Returns false once the run is aborted.
   bool extend_through(LeadId lead_id, bool tip_value) {
     ++outcome_.work;
     if (!budget_.charge()) return false;
@@ -562,7 +504,7 @@ class SeedDfs {
 
   /// extend() through the replay cache: a subtree already explored from
   /// the same (tip, value set) is credited in bulk — its kept paths,
-  /// work, stats delta and budget charges — unless a serial work limit
+  /// work, stats delta and budget charges — unless the work limit
   /// would cut it short, in which case it is explored for real so the
   /// abort lands on the same step.  A fully explored subtree is stored.
   bool extend_or_replay(GateId tip, bool tip_value) {
@@ -602,30 +544,36 @@ class SeedDfs {
       // The collected keys are the one allocation that grows without
       // bound with the survivor count; charge the guard with the
       // arena's capacity *growth* so the accounting stays exact while
-      // appends into pooled capacity cost nothing.
+      // appends into pooled capacity cost nothing.  The destructor
+      // releases the charge.
       ExecGuard* const guard = budget_.guard();
       const std::uint64_t before =
           guard != nullptr ? outcome_.keys.capacity_bytes() : 0;
       outcome_.keys.append(segment_, current_final_pi_value_);
       if (guard != nullptr) {
         const std::uint64_t after = outcome_.keys.capacity_bytes();
-        if (after > before) guard->add_memory(after - before);
+        if (after > before) {
+          guard->add_memory(after - before);
+          key_bytes_ += after - before;
+        }
       }
     }
-    if (lead_counts_ == nullptr) return;
+    if (lead_counts_.empty()) return;
     for (LeadId lead_id : segment_) {
       const CompiledLead& lead = compiled_.lead(lead_id);
       if (!lead.sink_has_ctrl) continue;
       const Value3 value = engine_.value(lead.driver);
       if (is_known(value) && to_bool(value) == !lead.sink_nc)
-        ++(*lead_counts_)[lead_id];
+        ++lead_counts_[lead_id];
     }
   }
 
   const CompiledCircuit& compiled_;
   const ClassifyOptions& options_;
-  Budget& budget_;
-  std::vector<std::uint64_t>* lead_counts_;
+  WorkBudget budget_;
+  std::vector<std::uint64_t> lead_counts_;
+  std::uint64_t work_ = 0;
+  std::uint64_t key_bytes_ = 0;  // key-arena bytes charged to the guard
   ImplicationEngine engine_;
 
   // Subtree-replay cache (null on ineligible runs, which then allocate

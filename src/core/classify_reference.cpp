@@ -22,10 +22,9 @@ namespace {
 
 /// The pre-striding serial budget: work limit and ExecGuard both
 /// evaluated on every single charge.
-class ReferenceSerialBudget {
+class ReferenceBudget {
  public:
-  explicit ReferenceSerialBudget(std::uint64_t limit,
-                                 ExecGuard* guard = nullptr)
+  explicit ReferenceBudget(std::uint64_t limit, ExecGuard* guard = nullptr)
       : limit_(limit), guard_(guard) {}
 
   bool charge() {
@@ -63,7 +62,7 @@ class ReferenceSeedDfs {
   };
 
   ReferenceSeedDfs(const Circuit& circuit, const ClassifyOptions& options,
-                   ReferenceSerialBudget& budget,
+                   ReferenceBudget& budget,
                    std::vector<std::uint64_t>* lead_counts)
       : circuit_(circuit),
         options_(options),
@@ -180,7 +179,7 @@ class ReferenceSeedDfs {
 
   const Circuit& circuit_;
   const ClassifyOptions& options_;
-  ReferenceSerialBudget& budget_;
+  ReferenceBudget& budget_;
   std::vector<std::uint64_t>* lead_counts_;
   ReferenceImplicationEngine engine_;
   std::vector<LeadId> segment_;
@@ -198,7 +197,7 @@ ClassifyResult classify_paths_reference(const Circuit& circuit,
   if (options.collect_lead_counts)
     result.kept_controlling_per_lead.assign(circuit.num_leads(), 0);
 
-  ReferenceSerialBudget budget(options.work_limit, options.guard);
+  ReferenceBudget budget(options.work_limit, options.guard);
   ReferenceSeedDfs dfs(circuit, options, budget,
                        options.collect_lead_counts
                            ? &result.kept_controlling_per_lead

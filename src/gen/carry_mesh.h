@@ -21,7 +21,7 @@
 //
 // The prefix tree, by contrast, has only Θ(width · 2^depth) *edges*
 // total but every flat enumeration re-walks Θ(depth) leads per path —
-// the sharing factor the path_tree bench row measures.
+// the sharing factor the classifier's prefix-tree DFS exploits.
 #pragma once
 
 #include <cstddef>

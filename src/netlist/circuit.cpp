@@ -19,7 +19,6 @@ Circuit::Circuit(const Circuit& other)
       finalized_(other.finalized_),
       fanin_offsets_(other.fanin_offsets_),
       fanin_ids_(other.fanin_ids_),
-      fanin_lead_ids_(other.fanin_lead_ids_),
       fanout_offsets_(other.fanout_offsets_),
       fanout_lead_ids_(other.fanout_lead_ids_) {
   rebind_views();
@@ -31,15 +30,14 @@ Circuit& Circuit::operator=(const Circuit& other) {
 }
 
 void Circuit::rebind_views() {
-  const bool has_leads = fanout_offsets_.size() == gates_.size() + 1 &&
-                         fanin_lead_ids_.size() == fanin_ids_.size();
+  const bool has_leads = fanout_offsets_.size() == gates_.size() + 1;
   for (GateId id = 0; id < gates_.size(); ++id) {
     Gate& gate = gates_[id];
     const std::uint32_t begin = fanin_offsets_[id];
     const std::uint32_t count = fanin_offsets_[id + 1] - begin;
     gate.fanins = {fanin_ids_.data() + begin, count};
     if (!has_leads) continue;
-    gate.fanin_leads = {fanin_lead_ids_.data() + begin, count};
+    gate.fanin_leads = {begin, begin + count};
     gate.fanout_leads = {fanout_lead_ids_.data() + fanout_offsets_[id],
                          fanout_offsets_[id + 1] - fanout_offsets_[id]};
   }
@@ -128,8 +126,9 @@ void Circuit::finalize() {
   // we still recompute a topo order explicitly for clarity and to catch
   // internal errors.
   // Leads number the input pins in gate order, so the fanin lead ids
-  // run 0, 1, 2, ... along fanin_ids_; the fanout lists are a counting
-  // sort of the same leads by driver, each list in lead-id order.
+  // run 0, 1, 2, ... along fanin_ids_ (each gate's fanin_leads is its
+  // slice of that range); the fanout lists are a counting sort of the
+  // same leads by driver, each list in lead-id order.
   const std::size_t num_gates = gates_.size();
   const std::size_t num_leads = fanin_ids_.size();
   fanout_offsets_.assign(num_gates + 1, 0);
@@ -142,7 +141,6 @@ void Circuit::finalize() {
   }
   leads_.clear();
   leads_.reserve(num_leads);
-  fanin_lead_ids_.resize(num_leads);
   fanout_lead_ids_.resize(num_leads);
   std::vector<std::uint32_t> next(fanout_offsets_.begin(),
                                   fanout_offsets_.end() - 1);
@@ -151,7 +149,6 @@ void Circuit::finalize() {
       const LeadId lead_id = static_cast<LeadId>(leads_.size());
       const GateId driver = gates_[id].fanins[pin];
       leads_.push_back(Lead{driver, id, pin});
-      fanin_lead_ids_[lead_id] = lead_id;
       fanout_lead_ids_[next[driver]++] = lead_id;
     }
   }

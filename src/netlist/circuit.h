@@ -13,13 +13,16 @@
 // requires a finalized circuit.
 //
 // The adjacency is stored once, as flat CSR arrays owned by the
-// Circuit; each Gate's three lists are std::span views into them, and
-// CompiledCircuit borrows the same arrays instead of copying them.
+// Circuit; each Gate's fanins and fanout leads are std::span views into
+// them, and CompiledCircuit borrows the same arrays instead of copying
+// them.  Lead ids number input pins in gate order, so a gate's fanin
+// leads are a range of consecutive ids with no storage at all.
 #pragma once
 
 #include <cstdint>
 #include <initializer_list>
 #include <limits>
+#include <ranges>
 #include <span>
 #include <string>
 #include <vector>
@@ -41,15 +44,16 @@ struct Lead {
   std::uint32_t pin = 0;  // position within sink's fanin list
 };
 
-/// One gate.  The three lists view the owning Circuit's CSR arrays, so
-/// a Gate is valid only as long as the Circuit it came from.
+/// One gate.  The fanin and fanout lists view the owning Circuit's CSR
+/// arrays, so a Gate is valid only as long as the Circuit it came from.
 struct Gate {
   GateType type = GateType::kInput;
   std::string name;
   std::span<const GateId> fanins;  // driver gates, by input pin order
-  // Set by finalize: the lead on each input pin, and the leads this
+  // Set by finalize: the lead on each input pin (the ids
+  // fanin_offsets()[g] .. fanin_offsets()[g + 1]), and the leads this
   // gate drives.
-  std::span<const LeadId> fanin_leads;
+  std::ranges::iota_view<LeadId, LeadId> fanin_leads;
   std::span<const LeadId> fanout_leads;
 };
 
@@ -166,7 +170,6 @@ class Circuit {
   // CSR adjacency (the copy constructor lists every member).
   std::vector<std::uint32_t> fanin_offsets_{0};  // num_gates + 1
   std::vector<GateId> fanin_ids_;                // one per lead
-  std::vector<LeadId> fanin_lead_ids_;           // one per lead (finalize)
   std::vector<std::uint32_t> fanout_offsets_;    // num_gates + 1 (finalize)
   std::vector<LeadId> fanout_lead_ids_;          // one per lead (finalize)
 };

@@ -4,14 +4,10 @@
 // local implications up to the divergence gate, so a classifier that
 // walks the *prefix tree* (every distinct lead-prefix is one node)
 // pays each shared prefix once instead of once per path.  This header
-// provides the structural side of that traversal, kept below the
-// simulation layer (no CompiledCircuit/engine dependency — rd_sim
-// links rd_paths, not the other way around):
-//
-//   * PathKeyArena — pooled flat storage for collected path keys (one
-//     append, zero per-path heap allocations);
-//   * path_tree_edge_count / total_path_lead_count — exact BigUint
-//     sharing diagnostics: tree cost vs flat per-path cost.
+// provides PathKeyArena, the pooled flat storage for the path keys that
+// traversal collects (one append, zero per-path heap allocations), kept
+// below the simulation layer (no CompiledCircuit/engine dependency —
+// rd_sim links rd_paths, not the other way around).
 #pragma once
 
 #include <cstddef>
@@ -19,7 +15,6 @@
 #include <vector>
 
 #include "netlist/circuit.h"
-#include "util/biguint.h"
 
 namespace rd {
 
@@ -69,18 +64,5 @@ class PathKeyArena {
   // allocation-free, which matters to drivers that build one per seed.
   std::vector<std::size_t> ends_;
 };
-
-/// Exact number of edges in the *physical* path-prefix tree (each
-/// distinct nonempty lead-prefix is one edge); the logical tree walked
-/// by the classifiers has exactly twice as many.  This is the unit of
-/// incremental-traversal cost, against which the flat per-path cost is
-/// total_path_lead_count().
-BigUint path_tree_edge_count(const Circuit& circuit);
-
-/// Sum of path lengths (in leads) over every physical path — the
-/// number of lead extensions a flat per-path classifier re-executes.
-/// The ratio total_path_lead_count / path_tree_edge_count is the
-/// prefix-sharing factor.
-BigUint total_path_lead_count(const Circuit& circuit);
 
 }  // namespace rd

@@ -309,10 +309,14 @@ TEST(ApproximationGap, UnsatSideKeepsOneUnsensitizablePath) {
   EXPECT_TRUE(std::includes(kept.begin(), kept.end(), exact.begin(),
                             exact.end()));
 
-  for (const std::size_t threads : {1u, 2u, 4u}) {
+  const ClassifyResult reference = classify_paths_reference(circuit, options);
+  EXPECT_EQ(reference.kept_keys, local.kept_keys);
+  EXPECT_EQ(reference.work, local.work);
+  EXPECT_EQ(reference.implication, local.implication);
+  for (const std::size_t threads : {2u, 4u, 8u}) {
     ClassifyOptions run = options;
     run.num_threads = threads;
-    const ClassifyResult parallel = classify_paths_parallel(circuit, run);
+    const ClassifyResult parallel = classify_paths(circuit, run);
     EXPECT_EQ(parallel.kept_paths, local.kept_paths) << threads;
     EXPECT_EQ(parallel.kept_keys, local.kept_keys) << threads;
     EXPECT_EQ(parallel.work, local.work) << threads;
@@ -347,7 +351,7 @@ TEST(ReplayCache, HeuristicOneRunOnC432Replays) {
   ClassifyOptions options;
   options.criterion = Criterion::kInputSort;
   options.sort = &sort;
-  const ClassifyResult replayed = classify_paths_serial(circuit, options);
+  const ClassifyResult replayed = classify_paths(circuit, options);
   ASSERT_TRUE(replayed.memo.has_value());
   EXPECT_GT(replayed.memo->hits, 0u);
   EXPECT_LE(replayed.memo->hits, replayed.memo->lookups);
@@ -360,11 +364,12 @@ TEST(ReplayCache, HeuristicOneRunOnC432Replays) {
   EXPECT_EQ(replayed.implication, reference.implication);
   EXPECT_FALSE(reference.memo.has_value());
 
-  // Serial counts are a function of the run: a rerun replays the same.
-  EXPECT_EQ(classify_paths_serial(circuit, options).memo, replayed.memo);
-  // The parallel engine's workers keep their own tables.
+  // One-thread counts are a function of the run: a rerun replays the
+  // same.
+  EXPECT_EQ(classify_paths(circuit, options).memo, replayed.memo);
+  // Pool workers keep their own tables.
   options.num_threads = 2;
-  const ClassifyResult parallel = classify_paths_parallel(circuit, options);
+  const ClassifyResult parallel = classify_paths(circuit, options);
   ASSERT_TRUE(parallel.memo.has_value());
   EXPECT_EQ(parallel.work, reference.work);
   EXPECT_EQ(parallel.implication, reference.implication);

@@ -11,9 +11,9 @@
 //     sibling-program bursts on one reused engine, branches over a
 //     live base state, hand-checked single-literal consequence sets
 //     and a c880-sized mark/rollback/reset sweep;
-//   * classification — the compiled serial and parallel engines must
-//     match classify_paths_reference on every deterministic field,
-//     across a generator corpus, all criteria, 1/2/4 threads and
+//   * classification — classify_paths must match
+//     classify_paths_reference on every deterministic field, across a
+//     generator corpus, all criteria, 1/2/4/8 threads and
 //     frontier-starving trees;
 //   * guard striding — batching ExecGuard polls must not change the
 //     first-trip AbortReason, the exactness of the guard's work
@@ -788,13 +788,12 @@ TEST(ClassifyBitIdentityTest, CompiledMatchesReferenceAcrossThreads) {
 
       const ClassifyResult reference =
           classify_paths_reference(circuit, options);
-      const ClassifyResult serial = classify_paths_serial(circuit, options);
+      const ClassifyResult serial = classify_paths(circuit, options);
       ASSERT_TRUE(deterministic_fields_equal(reference, serial))
           << circuit.name() << " criterion " << static_cast<int>(criterion);
-      for (std::size_t threads : {1u, 2u, 4u}) {
+      for (std::size_t threads : {2u, 4u, 8u}) {
         options.num_threads = threads;
-        const ClassifyResult parallel =
-            classify_paths_parallel(circuit, options);
+        const ClassifyResult parallel = classify_paths(circuit, options);
         ASSERT_TRUE(deterministic_fields_equal(reference, parallel))
             << circuit.name() << " criterion "
             << static_cast<int>(criterion) << " threads " << threads;
@@ -811,7 +810,7 @@ TEST(ClassifyBitIdentityTest, WorkLimitAbortsIdentically) {
   options.work_limit = 37;
   const ClassifyResult reference =
       classify_paths_reference(circuit, options);
-  const ClassifyResult serial = classify_paths_serial(circuit, options);
+  const ClassifyResult serial = classify_paths(circuit, options);
   EXPECT_FALSE(serial.completed);
   EXPECT_EQ(serial.abort_reason, AbortReason::kWorkBudget);
   ASSERT_TRUE(deterministic_fields_equal(reference, serial));
@@ -821,7 +820,7 @@ TEST(LaneDegeneracyTest, LanedClassifyMatchesScalarOnStarvedTrees) {
   // Circuits whose prefix trees starve the parallel frontier: a
   // single-fanout chain (one seed, nothing to split), the tiny classics
   // (far fewer seeds than workers at 8 threads), and a small generated
-  // circuit.  Serial and parallel runs must still match the reference.
+  // circuit.  Runs at every thread count must still match the reference.
   std::vector<Circuit> corpus;
   {
     Circuit chain("chain");
@@ -844,12 +843,11 @@ TEST(LaneDegeneracyTest, LanedClassifyMatchesScalarOnStarvedTrees) {
     const ClassifyResult reference =
         classify_paths_reference(circuit, options);
     ASSERT_TRUE(deterministic_fields_equal(
-        reference, classify_paths_serial(circuit, options)))
+        reference, classify_paths(circuit, options)))
         << circuit.name();
     for (std::size_t threads : {2u, 3u, 8u}) {
       options.num_threads = threads;
-      const ClassifyResult parallel =
-          classify_paths_parallel(circuit, options);
+      const ClassifyResult parallel = classify_paths(circuit, options);
       ASSERT_TRUE(deterministic_fields_equal(reference, parallel))
           << circuit.name() << " threads " << threads;
     }
@@ -864,10 +862,10 @@ TEST(GuardStridingTest, UntrippedGuardChargesExactWorkTotal) {
   // accounting, and the results are bit-identical to a guard-free run.
   const Circuit circuit = iscas_like(1);
   ClassifyOptions options;
-  const ClassifyResult bare = classify_paths_serial(circuit, options);
+  const ClassifyResult bare = classify_paths(circuit, options);
   ExecGuard guard;
   options.guard = &guard;
-  const ClassifyResult guarded = classify_paths_serial(circuit, options);
+  const ClassifyResult guarded = classify_paths(circuit, options);
   ASSERT_TRUE(deterministic_fields_equal(bare, guarded));
   EXPECT_TRUE(guarded.completed);
   EXPECT_EQ(guard.work_used(), guarded.work);
@@ -881,7 +879,7 @@ TEST(GuardStridingTest, GuardWorkCeilingTripsWithFirstTripReason) {
   ExecGuard guard(guard_options);
   ClassifyOptions options;
   options.guard = &guard;
-  const ClassifyResult result = classify_paths_serial(circuit, options);
+  const ClassifyResult result = classify_paths(circuit, options);
   EXPECT_FALSE(result.completed);
   EXPECT_EQ(result.abort_reason, AbortReason::kWorkBudget);
   EXPECT_EQ(guard.reason(), AbortReason::kWorkBudget);
@@ -892,8 +890,8 @@ TEST(GuardStridingTest, GuardWorkCeilingTripsWithFirstTripReason) {
 }
 
 TEST(GuardStridingTest, InjectedTripIsDeterministicAcrossReruns) {
-  // Deterministic fault injection fires inside the Nth guard poll; the
-  // serial engine's partial counts at that abort point must be
+  // Deterministic fault injection fires inside the Nth guard poll; a
+  // one-thread run's partial counts at that abort point must be
   // reproducible run over run (the poll schedule is a pure function of
   // the step stream), and the first-trip reason must surface verbatim.
   const Circuit circuit = iscas_like(4);
@@ -903,7 +901,7 @@ TEST(GuardStridingTest, InjectedTripIsDeterministicAcrossReruns) {
     guard.inject_trip_at(3, AbortReason::kDeadline);
     ClassifyOptions options;
     options.guard = &guard;
-    const ClassifyResult result = classify_paths_serial(circuit, options);
+    const ClassifyResult result = classify_paths(circuit, options);
     EXPECT_FALSE(result.completed);
     EXPECT_EQ(result.abort_reason, AbortReason::kDeadline);
     EXPECT_EQ(guard.reason(), AbortReason::kDeadline);
@@ -919,7 +917,7 @@ TEST(GuardStridingTest, InjectedTripIsDeterministicAcrossReruns) {
   late_guard.inject_trip_at(5, AbortReason::kDeadline);
   ClassifyOptions options;
   options.guard = &late_guard;
-  const ClassifyResult late = classify_paths_serial(circuit, options);
+  const ClassifyResult late = classify_paths(circuit, options);
   EXPECT_FALSE(late.completed);
   EXPECT_GT(late.work, first.work);
 }

@@ -1,14 +1,16 @@
-// Determinism test harness for the parallel classification engine.
+// Determinism test harness for the classification driver across thread
+// counts.
 //
-// The parallel engine shards the classification DFS by seed and merges
-// per-seed outcomes in canonical seed order, so every deterministic
-// ClassifyResult field must be *bit-identical* to the serial engine at
-// any thread count.  This harness checks that differentially across
-// generated ISCAS-like and (synthesized) PLA-like circuits, all three
-// sensitization criteria and thread counts {1, 2, 4, 8}; pins golden
-// counts for the checked-in data/ circuits so a merge-order bug fails
-// loudly; and exercises the shared work-budget abort semantics and the
-// thread pool itself.
+// classify_paths runs one task per seed, inline at one thread and on a
+// pool above it, and absorbs per-seed outcomes in canonical seed order,
+// so every deterministic ClassifyResult field must be *bit-identical*
+// at any thread count.  This harness checks that differentially (one
+// thread against the frozen reference, then 2, 4 and 8 threads against
+// one) across generated ISCAS-like and (synthesized) PLA-like circuits
+// and all three sensitization criteria; pins golden counts for the
+// checked-in data/ circuits so a merge-order bug fails loudly; and
+// exercises the shared work-budget abort semantics and the thread pool
+// itself.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -32,6 +34,13 @@ namespace rd {
 namespace {
 
 constexpr std::size_t kThreadCounts[] = {1, 2, 4, 8};
+constexpr std::size_t kPoolThreadCounts[] = {2, 4, 8};
+
+ClassifyResult classify_at(const Circuit& circuit, ClassifyOptions options,
+                           std::size_t threads) {
+  options.num_threads = threads;
+  return classify_paths(circuit, options);
+}
 
 /// Every deterministic field of ClassifyResult must match exactly
 /// (worker_stats and wall_seconds are observability-only and excluded).
@@ -88,15 +97,17 @@ TEST(ParallelClassify, BitIdenticalToSerialAcrossThreadCounts) {
       options.sort = criterion == Criterion::kInputSort ? &sort : nullptr;
       options.collect_lead_counts = true;
       options.collect_paths_limit = 1u << 14;
-      const ClassifyResult serial = classify_paths_serial(circuit, options);
-      for (std::size_t threads : kThreadCounts) {
-        options.num_threads = threads;
-        const ClassifyResult parallel =
-            classify_paths_parallel(circuit, options);
+      const std::string label =
+          circuit.name() + " criterion " +
+          std::to_string(static_cast<int>(criterion));
+      const ClassifyResult serial = classify_at(circuit, options, 1);
+      expect_identical(classify_paths_reference(circuit, options), serial,
+                       label + " reference");
+      EXPECT_TRUE(serial.worker_stats.empty());
+      for (std::size_t threads : kPoolThreadCounts) {
+        const ClassifyResult parallel = classify_at(circuit, options, threads);
         expect_identical(serial, parallel,
-                         circuit.name() + " criterion " +
-                             std::to_string(static_cast<int>(criterion)) +
-                             " threads " + std::to_string(threads));
+                         label + " threads " + std::to_string(threads));
         EXPECT_EQ(parallel.worker_stats.size(), threads);
       }
     }
@@ -111,10 +122,12 @@ TEST(ParallelClassify, KeptKeyTruncationMatchesSerialOrder) {
     ClassifyOptions options;
     options.criterion = Criterion::kFunctionalSensitizable;
     options.collect_paths_limit = 7;
-    const ClassifyResult serial = classify_paths_serial(circuit, options);
-    for (std::size_t threads : kThreadCounts) {
-      options.num_threads = threads;
-      const ClassifyResult parallel = classify_paths_parallel(circuit, options);
+    const ClassifyResult serial = classify_at(circuit, options, 1);
+    EXPECT_EQ(classify_paths_reference(circuit, options).kept_keys,
+              serial.kept_keys)
+        << circuit.name() << " reference";
+    for (std::size_t threads : kPoolThreadCounts) {
+      const ClassifyResult parallel = classify_at(circuit, options, threads);
       EXPECT_EQ(serial.kept_keys, parallel.kept_keys)
           << circuit.name() << " threads " << threads;
     }
@@ -129,9 +142,9 @@ TEST(ParallelClassify, RepeatedParallelRunsAreIdentical) {
   options.collect_lead_counts = true;
   options.collect_paths_limit = 1u << 14;
   options.num_threads = 4;
-  const ClassifyResult first = classify_paths_parallel(circuit, options);
+  const ClassifyResult first = classify_paths(circuit, options);
   for (int run = 0; run < 3; ++run) {
-    const ClassifyResult again = classify_paths_parallel(circuit, options);
+    const ClassifyResult again = classify_paths(circuit, options);
     expect_identical(first, again, "repeat run " + std::to_string(run));
   }
 }
@@ -156,7 +169,7 @@ TEST(ParallelClassify, WorkerStatsCoverEverySeed) {
     for (const std::size_t threads : {2u, 4u, 8u}) {
       ClassifyOptions options;
       options.num_threads = threads;
-      const ClassifyResult result = classify_paths_parallel(circuit, options);
+      const ClassifyResult result = classify_paths(circuit, options);
       ASSERT_TRUE(result.completed);
       std::uint64_t seeds = 0;
       std::uint64_t work = 0;
@@ -204,8 +217,8 @@ struct Golden {
 };
 
 TEST(ParallelClassify, GoldenCountsOnDataCircuits) {
-  // Pinned from the serial engine; any merge-order or sharding bug in
-  // either engine fails this loudly.  data/c17.bench has no RD paths
+  // Pinned from the one-thread run; any merge-order or sharding bug at
+  // any thread count fails this loudly.  data/c17.bench has no RD paths
   // (all 22 logical paths survive every criterion); the paper's example
   // keeps 5 of 8 under the non-robust criterion.
   const Golden goldens[] = {
@@ -228,16 +241,17 @@ TEST(ParallelClassify, GoldenCountsOnDataCircuits) {
         std::string(golden.path) + " criterion " +
         std::to_string(static_cast<int>(golden.criterion));
 
-    const ClassifyResult serial = classify_paths_serial(circuit, options);
+    const ClassifyResult serial = classify_at(circuit, options, 1);
     EXPECT_TRUE(serial.completed) << label;
     EXPECT_EQ(serial.kept_paths, golden.kept) << label;
     EXPECT_EQ(serial.rd_paths.to_decimal(), golden.rd) << label;
     EXPECT_EQ(serial.total_logical.to_decimal(), golden.total) << label;
     EXPECT_EQ(serial.work, golden.work) << label;
+    expect_identical(classify_paths_reference(circuit, options), serial,
+                     label + " reference");
 
-    for (std::size_t threads : kThreadCounts) {
-      options.num_threads = threads;
-      const ClassifyResult parallel = classify_paths_parallel(circuit, options);
+    for (std::size_t threads : kPoolThreadCounts) {
+      const ClassifyResult parallel = classify_at(circuit, options, threads);
       EXPECT_TRUE(parallel.completed) << label;
       EXPECT_EQ(parallel.kept_paths, golden.kept)
           << label << " threads " << threads;
@@ -264,40 +278,42 @@ TEST(ParallelClassify, WorkLimitAbortsAllEngines) {
   ClassifyOptions options;
   options.criterion = Criterion::kFunctionalSensitizable;
   options.work_limit = 25;  // far below the circuit's full DFS work
-  const ClassifyResult serial = classify_paths_serial(circuit, options);
+  const ClassifyResult serial = classify_at(circuit, options, 1);
   ASSERT_FALSE(serial.completed);
   // Aborted runs leave the rd_* fields unpopulated.
   EXPECT_EQ(serial.rd_paths, BigUint(0));
   EXPECT_EQ(serial.rd_percent, 0.0);
+  // One thread stops on the exact step the reference stops on.
+  expect_identical(classify_paths_reference(circuit, options), serial,
+                   "reference");
 
-  for (std::size_t threads : kThreadCounts) {
-    options.num_threads = threads;
-    const ClassifyResult parallel = classify_paths_parallel(circuit, options);
+  for (std::size_t threads : kPoolThreadCounts) {
+    const ClassifyResult parallel = classify_at(circuit, options, threads);
     EXPECT_FALSE(parallel.completed) << threads;
     EXPECT_EQ(parallel.rd_paths, BigUint(0)) << threads;
-    // Cooperative cancellation: every worker stops within one flush
-    // batch of the limit being crossed, so the total work performed is
+    // Cooperative cancellation: every worker stops within one settle
+    // stride of the limit being crossed, so the total work performed is
     // bounded, not the full DFS.
     EXPECT_LT(parallel.work, std::uint64_t{25} + 8 * 600) << threads;
   }
 }
 
 TEST(ParallelClassify, WorkLimitBoundaryIsExact) {
-  // completed must flip exactly at the full DFS step count, for both
-  // engines: the verdict depends only on the thread-count-independent
-  // work total.
+  // completed must flip exactly at the full DFS step count, at every
+  // thread count: the verdict depends only on the
+  // thread-count-independent work total.
   const Circuit circuit = c17();
   ClassifyOptions options;
   options.criterion = Criterion::kFunctionalSensitizable;
-  const std::uint64_t full_work = classify_paths_serial(circuit, options).work;
+  const std::uint64_t full_work = classify_at(circuit, options, 1).work;
   ASSERT_GT(full_work, 0u);
+  EXPECT_EQ(classify_paths_reference(circuit, options).work, full_work);
 
   for (const bool enough : {true, false}) {
     options.work_limit = enough ? full_work : full_work - 1;
-    EXPECT_EQ(classify_paths_serial(circuit, options).completed, enough);
-    for (std::size_t threads : kThreadCounts) {
-      options.num_threads = threads;
-      EXPECT_EQ(classify_paths_parallel(circuit, options).completed, enough)
+    EXPECT_EQ(classify_at(circuit, options, 1).completed, enough);
+    for (std::size_t threads : kPoolThreadCounts) {
+      EXPECT_EQ(classify_at(circuit, options, threads).completed, enough)
           << "limit " << options.work_limit << " threads " << threads;
     }
   }
@@ -382,7 +398,7 @@ TEST(ParallelClassify, UntrippedGuardBitIdenticalToNoGuard) {
     options.criterion = Criterion::kFunctionalSensitizable;
     options.collect_lead_counts = true;
     options.collect_paths_limit = 1u << 14;
-    const ClassifyResult baseline = classify_paths_serial(circuit, options);
+    const ClassifyResult baseline = classify_at(circuit, options, 1);
     for (std::size_t threads : {1u, 2u, 4u}) {
       ExecGuard guard;  // no ceilings
       options.num_threads = threads;
@@ -394,6 +410,40 @@ TEST(ParallelClassify, UntrippedGuardBitIdenticalToNoGuard) {
       EXPECT_EQ(guarded.abort_reason, AbortReason::kNone);
       options.guard = nullptr;
     }
+  }
+}
+
+TEST(ParallelClassify, KeyArenaMemoryIsReleased) {
+  // Collected keys charge their arenas' growth to the guard.  The run
+  // must release that charge once it has absorbed the arenas, or every
+  // keyed run leaves memory_used() raised for whatever shares the guard
+  // next (a ladder's keyed rerun, the next job of a session).
+  const Circuit circuit = make_benchmark("c432");
+  for (const std::size_t threads : {1u, 4u}) {
+    ClassifyOptions options;
+    options.num_threads = threads;
+    options.collect_paths_limit = 1u << 12;
+
+    ExecGuard guard;
+    options.guard = &guard;
+    const std::uint64_t before = guard.memory_used();
+    for (int run = 0; run < 2; ++run) {
+      const ClassifyResult result = classify_paths(circuit, options);
+      ASSERT_TRUE(result.completed) << threads;
+      ASSERT_EQ(result.kept_keys.size(), options.collect_paths_limit);
+    }
+    EXPECT_EQ(guard.memory_used(), before) << "threads " << threads;
+
+    // The charge is taken while the run holds the keys: a one-byte
+    // ceiling trips on it, and the charge is still released.
+    ExecGuardOptions tight_options;
+    tight_options.memory_limit_bytes = 1;
+    ExecGuard tight(tight_options);
+    options.guard = &tight;
+    const ClassifyResult tripped = classify_paths(circuit, options);
+    EXPECT_FALSE(tripped.completed) << threads;
+    EXPECT_EQ(tripped.abort_reason, AbortReason::kMemory) << threads;
+    EXPECT_EQ(tight.memory_used(), 0u) << "threads " << threads;
   }
 }
 

@@ -1,6 +1,6 @@
 // Path-prefix-tree layer: the carry-mesh deep generator's closed-form
-// structural counts and sharing diagnostics, the pooled key arena, and
-// the seed-sharded parallel classifier under mid-subtree aborts.
+// structural counts, the pooled key arena, and the seed-sharded
+// classifier under mid-subtree aborts.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -62,22 +62,6 @@ TEST(CarryMesh, EnumerationMatchesCountsAndPathShape) {
   EXPECT_EQ(BigUint(enumerated), PathCounts(circuit).total_physical());
 }
 
-TEST(CarryMesh, PrefixTreeWidthsAndSharingDiagnostics) {
-  CarryMeshProfile profile;
-  profile.width = 4;
-  profile.depth = 6;
-  const Circuit circuit = make_carry_mesh(profile);
-
-  // Tree edges: width * (3 * 2^depth - 2) (mesh levels plus PO leads);
-  // flat lead total: (depth + 1) * width * 2^depth.  The ratio is the
-  // Θ(depth) sharing factor the path_tree bench row measures.
-  BigUint expected_edges = times_pow2(3 * profile.width, profile.depth);
-  expected_edges -= BigUint(2 * profile.width);
-  EXPECT_EQ(path_tree_edge_count(circuit), expected_edges);
-  EXPECT_EQ(total_path_lead_count(circuit),
-            times_pow2(profile.width * (profile.depth + 1), profile.depth));
-}
-
 // ---- pooled key arena ------------------------------------------------------
 
 TEST(PathKeyArena, AppendRoundTripAndPooledClear) {
@@ -104,7 +88,7 @@ TEST(PathKeyArena, AppendRoundTripAndPooledClear) {
   EXPECT_EQ(arena.key(0), (std::vector<std::uint32_t>{7, 3, 9, 1}));
 }
 
-// ---- deep-mesh classification: serial / parallel / aborts ------------------
+// ---- deep-mesh classification: inline / pool / aborts ----------------------
 
 ClassifyOptions mesh_options(std::size_t threads) {
   ClassifyOptions options;
@@ -121,22 +105,23 @@ TEST(PathTreeClassify, MidSubtreeWorkLimitVerdictIsThreadInvariant) {
   profile.depth = 8;
   const Circuit circuit = make_carry_mesh(profile);
   const std::uint64_t full_work =
-      classify_paths_serial(circuit, mesh_options(1)).work;
+      classify_paths(circuit, mesh_options(1)).work;
   ASSERT_GT(full_work, 64u);
+  EXPECT_EQ(classify_paths_reference(circuit, mesh_options(1)).work,
+            full_work);
 
-  // Limits landing inside phase-2 subtrees: the completed verdict and
-  // typed reason must match the serial engine at every thread count
+  // Limits landing inside seed subtrees: the completed verdict and
+  // typed reason must match the one-thread run at every thread count
   // (partial counts at the abort point are legitimately unordered).
   for (const std::uint64_t limit :
        {full_work / 2, full_work - 1, full_work}) {
     ClassifyOptions options = mesh_options(1);
     options.work_limit = limit;
-    const ClassifyResult serial = classify_paths_serial(circuit, options);
+    const ClassifyResult serial = classify_paths(circuit, options);
     ASSERT_EQ(serial.completed, limit >= full_work);
-    for (const std::size_t threads : {1u, 2u, 4u}) {
+    for (const std::size_t threads : {2u, 4u, 8u}) {
       options.num_threads = threads;
-      const ClassifyResult parallel =
-          classify_paths_parallel(circuit, options);
+      const ClassifyResult parallel = classify_paths(circuit, options);
       EXPECT_EQ(parallel.completed, serial.completed)
           << "limit " << limit << " threads " << threads;
       EXPECT_EQ(parallel.abort_reason, serial.abort_reason);
@@ -151,11 +136,12 @@ TEST(PathTreeClassify, InjectedGuardTripMidSubtreeIsTyped) {
   const Circuit circuit = make_carry_mesh(profile);
   for (const std::size_t threads : {1u, 2u, 4u}) {
     // Every seed polls the guard at least once, so half the checks of
-    // an untripped run is a check inside the run, on a pool worker.
+    // an untripped run is a check inside the run (on a pool worker
+    // above one thread).
     ExecGuard untripped;
     ClassifyOptions options = mesh_options(threads);
     options.guard = &untripped;
-    ASSERT_TRUE(classify_paths_parallel(circuit, options).completed);
+    ASSERT_TRUE(classify_paths(circuit, options).completed);
     const std::uint64_t trip_at = untripped.checks() / 2;
     ASSERT_GE(trip_at, 1u);
 
@@ -164,7 +150,7 @@ TEST(PathTreeClassify, InjectedGuardTripMidSubtreeIsTyped) {
       throw GuardTrippedError(AbortReason::kMemory);
     });
     options.guard = &guard;
-    const ClassifyResult result = classify_paths_parallel(circuit, options);
+    const ClassifyResult result = classify_paths(circuit, options);
     EXPECT_FALSE(result.completed) << "threads " << threads;
     EXPECT_EQ(result.abort_reason, AbortReason::kMemory);
   }

@@ -34,6 +34,19 @@ Circuit small_circuit(std::uint64_t seed, double xor_fraction = 0.15) {
   return make_iscas_like(profile);
 }
 
+ClassifyResult classify_at(const Circuit& circuit, ClassifyOptions options,
+                           std::size_t threads) {
+  options.num_threads = threads;
+  return classify_paths(circuit, options);
+}
+
+/// The pool size a sweep's thread axis stands for when it is set
+/// against a one-thread run: the axis value itself above one, and 8 in
+/// place of 1, so the pairs cover t = 1 against t in {2, 4, 8}.
+std::size_t pool_threads(std::size_t threads) {
+  return threads == 1 ? 8 : threads;
+}
+
 // ---- classifier soundness across criteria and seeds ----------------------
 
 class ClassifierProperty
@@ -193,7 +206,7 @@ TEST_P(ImplicationProperty, OrderIndependentFixpoint) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ImplicationProperty,
                          ::testing::Values(21u, 22u, 23u, 24u, 25u));
 
-// ---- parallel engine invariance -------------------------------------------
+// ---- thread-count invariance ----------------------------------------------
 
 class ParallelInvarianceProperty
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::size_t>> {
@@ -205,9 +218,9 @@ TEST_P(ParallelInvarianceProperty, CountsInvariantUnderThreadsAndSandwiched) {
   const InputSort sort = heuristic1_sort(circuit);
 
   // RD counts are a function of (circuit, criterion, sort) only: the
-  // classifier consumes no randomness and no scheduling state, so the
-  // parallel engine must reproduce the serial counts at every thread
-  // count, for every criterion.
+  // classifier consumes no randomness and no scheduling state, so a
+  // pool run must reproduce the one-thread counts (and those the
+  // reference's) at every thread count, for every criterion.
   std::uint64_t kept[3];
   std::size_t slot = 0;
   for (Criterion criterion :
@@ -216,9 +229,11 @@ TEST_P(ParallelInvarianceProperty, CountsInvariantUnderThreadsAndSandwiched) {
     ClassifyOptions options;
     options.criterion = criterion;
     options.sort = criterion == Criterion::kInputSort ? &sort : nullptr;
-    const ClassifyResult serial = classify_paths_serial(circuit, options);
-    options.num_threads = threads;
-    const ClassifyResult parallel = classify_paths_parallel(circuit, options);
+    const ClassifyResult serial = classify_at(circuit, options, 1);
+    const ClassifyResult reference = classify_paths_reference(circuit, options);
+    ASSERT_EQ(reference.kept_paths, serial.kept_paths);
+    ASSERT_EQ(reference.work, serial.work);
+    const ClassifyResult parallel = classify_at(circuit, options, threads);
     ASSERT_TRUE(serial.completed);
     ASSERT_TRUE(parallel.completed);
     ASSERT_EQ(serial.kept_paths, parallel.kept_paths)
@@ -229,7 +244,7 @@ TEST_P(ParallelInvarianceProperty, CountsInvariantUnderThreadsAndSandwiched) {
   }
 
   // Lemma 1 sandwich T(C) ⊆ LP(σ) ⊆ FS(C) at the approximation level,
-  // verified on the parallel engine's counts: non-robust ≤ input-sort
+  // verified on the pool run's counts: non-robust ≤ input-sort
   // ≤ functional-sensitizable.
   EXPECT_LE(kept[0], kept[1]) << "T^sup ⊄ LP^sup";
   EXPECT_LE(kept[1], kept[2]) << "LP^sup ⊄ FS^sup";
@@ -253,17 +268,16 @@ TEST_P(PathTreeInvariance, BitIdenticalToReferenceOnDeepMeshes) {
   profile.depth = depth;
   const Circuit circuit = make_carry_mesh(profile);
 
-  // The deep-mesh regime forces the parallel engine past per-seed
-  // sharding (3 seeds, thousands of paths): work items are subtrees of
-  // the shared prefix tree.  Every deterministic field must still be
-  // bit-identical to the frozen reference engine.
+  // The deep-mesh regime: 3 seeds, thousands of paths, so a pool has
+  // fewer tasks than workers.  Every deterministic field must still be
+  // bit-identical to the frozen reference engine, inline at one thread
+  // and on the pool above it.
   ClassifyOptions options;
   options.criterion = Criterion::kFunctionalSensitizable;
   options.collect_paths_limit = 1u << 18;
   options.collect_lead_counts = true;
   const ClassifyResult reference = classify_paths_reference(circuit, options);
-  options.num_threads = threads;
-  const ClassifyResult parallel = classify_paths_parallel(circuit, options);
+  const ClassifyResult parallel = classify_at(circuit, options, threads);
   ASSERT_TRUE(reference.completed);
   ASSERT_TRUE(parallel.completed);
   ASSERT_EQ(parallel.kept_paths, reference.kept_paths);
@@ -275,17 +289,17 @@ TEST_P(PathTreeInvariance, BitIdenticalToReferenceOnDeepMeshes) {
   ASSERT_EQ(parallel.implication, reference.implication);
 
   // Work limits landing mid-subtree: one unit short of completion
-  // aborts with the same typed verdict as serial; exactly the full
+  // aborts with the same typed verdict as one thread; exactly the full
   // budget completes (the boundary is exact at every thread count).
   options.work_limit = reference.work - 1;
-  const ClassifyResult short_serial = classify_paths_serial(circuit, options);
+  const ClassifyResult short_serial = classify_at(circuit, options, 1);
   const ClassifyResult short_parallel =
-      classify_paths_parallel(circuit, options);
+      classify_at(circuit, options, pool_threads(threads));
   ASSERT_FALSE(short_serial.completed);
   ASSERT_FALSE(short_parallel.completed);
   ASSERT_EQ(short_parallel.abort_reason, short_serial.abort_reason);
   options.work_limit = reference.work;
-  ASSERT_TRUE(classify_paths_parallel(circuit, options).completed);
+  ASSERT_TRUE(classify_at(circuit, options, pool_threads(threads)).completed);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -305,8 +319,7 @@ bool all_deterministic_fields_equal(const ClassifyResult& a,
 }
 
 // Selectors 0..2 are random iscas-like circuits, 3..4 are carry meshes
-// — the deep-tree regime where the parallel engine cuts below the seed
-// level.
+// — the deep-tree regime with fewer seeds than pool workers.
 Circuit invariance_circuit(int selector) {
   if (selector < 3) return small_circuit(61u + selector);
   CarryMeshProfile profile;
@@ -315,11 +328,11 @@ Circuit invariance_circuit(int selector) {
   return make_carry_mesh(profile);
 }
 
-// (circuit selector, threads, key cap): the frozen reference, the
-// compiled serial engine and the parallel engine must agree on every
-// deterministic field, with the kept-key collection truncated at the
-// cap (collect_paths_limit) — the parallel merge must pick exactly the
-// reference's first `cap` keys.  Cap 0 collects nothing and is the
+// (circuit selector, threads, key cap): the frozen reference, a
+// one-thread run and a pool run (at pool_threads(threads)) must agree
+// on every deterministic field, with the kept-key collection truncated
+// at the cap (collect_paths_limit) — the pool's merge must pick exactly
+// the reference's first `cap` keys.  Cap 0 collects nothing and is the
 // input the subtree-replay cache runs on.  The suite and instantiation
 // names predate the removal of the lane engine (DESIGN.md "Removed
 // accelerators", whose lane widths the third axis used to sweep); they
@@ -344,22 +357,21 @@ TEST_P(BitparParallelInvariance, AllEnginesAgreeBitForBit) {
     options.collect_lead_counts = cap != 0;
     options.collect_paths_limit = cap;
 
-    // The frozen reference fixes the contract; the compiled serial and
-    // parallel engines must reproduce it bit for bit.
+    // The frozen reference fixes the contract; one-thread and pool runs
+    // must reproduce it bit for bit.
     const ClassifyResult reference =
         classify_paths_reference(circuit, options);
     ASSERT_EQ(reference.kept_keys.size(),
               std::min<std::uint64_t>(cap, reference.kept_paths));
-    const ClassifyResult serial = classify_paths_serial(circuit, options);
+    const ClassifyResult serial = classify_at(circuit, options, 1);
     ASSERT_TRUE(all_deterministic_fields_equal(reference, serial))
         << "criterion " << static_cast<int>(criterion) << " cap " << cap;
     ASSERT_EQ(serial.memo.has_value(), cap == 0);
-    options.num_threads = threads;
     const ClassifyResult parallel =
-        classify_paths_parallel(circuit, options);
+        classify_at(circuit, options, pool_threads(threads));
     ASSERT_TRUE(all_deterministic_fields_equal(reference, parallel))
         << "criterion " << static_cast<int>(criterion) << " cap " << cap
-        << " threads " << threads;
+        << " threads " << pool_threads(threads);
   }
 }
 
@@ -368,7 +380,7 @@ TEST_P(BitparParallelInvariance, WorkLimitBoundaryIsExact) {
   const Circuit circuit = invariance_circuit(selector);
   ClassifyOptions options;
   options.collect_paths_limit = cap;
-  const ClassifyResult full = classify_paths_serial(circuit, options);
+  const ClassifyResult full = classify_at(circuit, options, 1);
   ASSERT_TRUE(full.completed);
 
   // One unit short of completion must abort with the reference
@@ -377,44 +389,41 @@ TEST_P(BitparParallelInvariance, WorkLimitBoundaryIsExact) {
   options.work_limit = full.work - 1;
   const ClassifyResult short_reference =
       classify_paths_reference(circuit, options);
-  const ClassifyResult short_serial = classify_paths_serial(circuit, options);
+  const ClassifyResult short_serial = classify_at(circuit, options, 1);
   ASSERT_FALSE(short_serial.completed);
   ASSERT_EQ(short_serial.abort_reason, AbortReason::kWorkBudget);
   ASSERT_TRUE(all_deterministic_fields_equal(short_reference, short_serial));
-  options.num_threads = threads;
   const ClassifyResult short_parallel =
-      classify_paths_parallel(circuit, options);
+      classify_at(circuit, options, pool_threads(threads));
   ASSERT_FALSE(short_parallel.completed);
   ASSERT_EQ(short_parallel.abort_reason, AbortReason::kWorkBudget);
   options.work_limit = full.work;
-  ASSERT_TRUE(classify_paths_serial(circuit, options).completed);
-  ASSERT_TRUE(classify_paths_parallel(circuit, options).completed);
+  ASSERT_TRUE(classify_at(circuit, options, 1).completed);
+  ASSERT_TRUE(classify_at(circuit, options, pool_threads(threads)).completed);
 }
 
 TEST_P(BitparParallelInvariance, InjectedGuardTripsIdentically) {
   const auto [selector, threads, cap] = GetParam();
   const Circuit circuit = invariance_circuit(selector);
   // A deterministic mid-run guard trip: the poll schedule is a pure
-  // function of the step stream, so two serial runs must stop at the
-  // same point with the same partial counts and keys.
+  // function of the step stream, so two one-thread runs must stop at
+  // the same point with the same partial counts and keys.
   const auto tripped = [&circuit, cap = cap](std::size_t num_threads) {
     ExecGuard guard;
     guard.inject_trip_at(3, AbortReason::kDeadline);
     ClassifyOptions options;
     options.guard = &guard;
     options.collect_paths_limit = cap;
-    options.num_threads = num_threads;
-    return num_threads == 1 ? classify_paths_serial(circuit, options)
-                            : classify_paths_parallel(circuit, options);
+    return classify_at(circuit, options, num_threads);
   };
   const ClassifyResult serial = tripped(1);
   EXPECT_FALSE(serial.completed);
   EXPECT_EQ(serial.abort_reason, AbortReason::kDeadline);
   EXPECT_LE(serial.kept_keys.size(), cap);
   ASSERT_TRUE(all_deterministic_fields_equal(serial, tripped(1)));
-  // The parallel engine's partial counts are scheduling-dependent, but
-  // the typed verdict must survive at every thread count.
-  const ClassifyResult parallel = tripped(threads == 1 ? 2 : threads);
+  // A pool run's partial counts are scheduling-dependent, but the typed
+  // verdict must survive at every thread count.
+  const ClassifyResult parallel = tripped(pool_threads(threads));
   EXPECT_FALSE(parallel.completed);
   EXPECT_EQ(parallel.abort_reason, AbortReason::kDeadline);
 }
@@ -476,14 +485,14 @@ TEST_P(ClosureInvariance, ClosureTierIsBitIdentical) {
     const ClassifyResult reference =
         classify_paths_reference(circuit, options);
     ASSERT_TRUE(reference.completed);
-    const ClassifyResult serial = classify_paths_serial(circuit, options);
+    const ClassifyResult serial = classify_at(circuit, options, 1);
     ASSERT_TRUE(all_deterministic_fields_equal(reference, serial))
         << "criterion " << static_cast<int>(criterion) << " cap " << cap;
-    options.num_threads = threads;
-    const ClassifyResult parallel = classify_paths_parallel(circuit, options);
+    const ClassifyResult parallel =
+        classify_at(circuit, options, pool_threads(threads));
     ASSERT_TRUE(all_deterministic_fields_equal(reference, parallel))
         << "criterion " << static_cast<int>(criterion) << " cap " << cap
-        << " threads " << threads;
+        << " threads " << pool_threads(threads);
   }
 }
 
@@ -492,16 +501,18 @@ TEST_P(ClosureInvariance, LearnedTierShrinksDeterministically) {
   const Circuit circuit = circuit_for(selector);
 
   ClassifyOptions forward = forward_only(1u << 16);
-  const ClassifyResult first = classify_paths_serial(circuit, forward);
-  const ClassifyResult second = classify_paths_serial(circuit, forward);
+  const ClassifyResult first = classify_at(circuit, forward, 1);
+  const ClassifyResult second = classify_at(circuit, forward, 1);
   ASSERT_TRUE(first.completed);
   ASSERT_TRUE(all_deterministic_fields_equal(first, second));
+  ASSERT_TRUE(all_deterministic_fields_equal(
+      classify_paths_reference(circuit, forward), first));
 
   // kept(forward + backward) ⊆ kept(forward only): backward implications
   // only add implied values, so they only add conflicts.
   ClassifyOptions both = forward;
   both.backward_implications = true;
-  const ClassifyResult full = classify_paths_serial(circuit, both);
+  const ClassifyResult full = classify_at(circuit, both, 1);
   ASSERT_TRUE(full.completed);
   EXPECT_LE(full.kept_paths, first.kept_paths);
   ASSERT_EQ(first.kept_keys.size(), first.kept_paths);
@@ -511,9 +522,8 @@ TEST_P(ClosureInvariance, LearnedTierShrinksDeterministically) {
 
   // The capped key collection is a prefix of the full one at every
   // thread count.
-  ClassifyOptions capped = forward_only(cap);
-  capped.num_threads = threads;
-  const ClassifyResult parallel = classify_paths_parallel(circuit, capped);
+  const ClassifyResult parallel =
+      classify_at(circuit, forward_only(cap), pool_threads(threads));
   ASSERT_EQ(parallel.kept_paths, first.kept_paths);
   ASSERT_EQ(parallel.kept_keys.size(),
             std::min<std::uint64_t>(cap, first.kept_paths));
@@ -525,7 +535,7 @@ TEST_P(ClosureInvariance, WorkLimitBoundaryIsExact) {
   const auto [selector, threads, cap] = GetParam();
   const Circuit circuit = circuit_for(selector);
   ClassifyOptions options = forward_only(cap);
-  const ClassifyResult full = classify_paths_serial(circuit, options);
+  const ClassifyResult full = classify_at(circuit, options, 1);
   ASSERT_TRUE(full.completed);
 
   // One unit short of completion aborts with the reference engine's
@@ -533,44 +543,40 @@ TEST_P(ClosureInvariance, WorkLimitBoundaryIsExact) {
   options.work_limit = full.work - 1;
   const ClassifyResult short_reference =
       classify_paths_reference(circuit, options);
-  const ClassifyResult short_serial = classify_paths_serial(circuit, options);
+  const ClassifyResult short_serial = classify_at(circuit, options, 1);
   ASSERT_FALSE(short_serial.completed);
   ASSERT_EQ(short_serial.abort_reason, AbortReason::kWorkBudget);
   ASSERT_TRUE(all_deterministic_fields_equal(short_reference, short_serial));
-  options.num_threads = threads;
   const ClassifyResult short_parallel =
-      classify_paths_parallel(circuit, options);
+      classify_at(circuit, options, pool_threads(threads));
   ASSERT_FALSE(short_parallel.completed);
   ASSERT_EQ(short_parallel.abort_reason, AbortReason::kWorkBudget);
   options.work_limit = full.work;
-  ASSERT_TRUE(classify_paths_parallel(circuit, options).completed);
-  options.num_threads = 1;
-  ASSERT_TRUE(classify_paths_serial(circuit, options).completed);
+  ASSERT_TRUE(classify_at(circuit, options, pool_threads(threads)).completed);
+  ASSERT_TRUE(classify_at(circuit, options, 1).completed);
 }
 
 TEST_P(ClosureInvariance, InjectedGuardTripsIdentically) {
   const auto [selector, threads, cap] = GetParam();
   const Circuit circuit = circuit_for(selector);
   // The poll schedule is a pure function of the step stream, so two
-  // serial forward-only runs stop at the same check with the same
+  // one-thread forward-only runs stop at the same check with the same
   // partial counts and keys.
   const auto tripped = [&circuit, cap = cap](std::size_t num_threads) {
     ExecGuard guard;
     guard.inject_trip_at(3, AbortReason::kDeadline);
     ClassifyOptions options = forward_only(cap);
     options.guard = &guard;
-    options.num_threads = num_threads;
-    return num_threads == 1 ? classify_paths_serial(circuit, options)
-                            : classify_paths_parallel(circuit, options);
+    return classify_at(circuit, options, num_threads);
   };
   const ClassifyResult serial = tripped(1);
   EXPECT_FALSE(serial.completed);
   EXPECT_EQ(serial.abort_reason, AbortReason::kDeadline);
   EXPECT_LE(serial.kept_keys.size(), cap);
   ASSERT_TRUE(all_deterministic_fields_equal(serial, tripped(1)));
-  // The parallel engine's partial counts are scheduling-dependent, but
-  // the typed verdict must survive at every thread count.
-  const ClassifyResult parallel = tripped(threads == 1 ? 2 : threads);
+  // A pool run's partial counts are scheduling-dependent, but the typed
+  // verdict must survive at every thread count.
+  const ClassifyResult parallel = tripped(pool_threads(threads));
   EXPECT_FALSE(parallel.completed);
   EXPECT_EQ(parallel.abort_reason, AbortReason::kDeadline);
 }
