@@ -30,7 +30,7 @@
 //                    --engine=approx|resilient (default approx)
 //                                   resilient classifies once, then
 //                                   refines each kept path exactly
-//                                   (sweep, else SAT on its PO cone),
+//                                   (one SAT query on its PO cone),
 //                                   keeping the classifier's answer
 //                                   when refinement is out of reach
 //                    --work-limit=N

@@ -2,11 +2,12 @@
 // redundancy proof, and a 64-way random-pattern fault-simulation
 // prefilter.
 //
-// These are the engines behind the reimplementation of the approach of
-// Lam et al. [1] (src/unfold): RD-set identification there reduces to
-// proving single stuck-at faults redundant in the leaf-dag.  PODEM is
-// run to exhaustion, so a kRedundant verdict is a proof; kAborted is
-// returned when the node budget runs out.
+// PODEM's one caller is the transition-fault generator
+// (atpg/transition.h): the second vector of a slow-to-rise (fall) test
+// must detect the gate's stuck-at-0 (1) fault.  The leaf-dag baseline
+// of [1] (src/unfold) has its own X-fault search.  PODEM is run to
+// exhaustion, so a kRedundant verdict is a proof; kAborted is returned
+// when the node budget runs out.
 #pragma once
 
 #include <cstdint>

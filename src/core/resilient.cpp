@@ -1,11 +1,11 @@
 #include "core/resilient.h"
 
-#include <algorithm>
 #include <map>
 #include <optional>
+#include <vector>
 
 #include "core/classify_dfs.h"
-#include "core/exact.h"
+#include "paths/path.h"
 #include "sat/cnf.h"
 #include "sat/solver.h"
 #include "util/stopwatch.h"
@@ -59,61 +59,38 @@ class ConeSolvers {
   std::map<GateId, Cone> cones_;
 };
 
-bool sweep_feasible(const Circuit& circuit, const ResilientOptions& options) {
-  const std::size_t num_inputs = circuit.inputs().size();
-  return num_inputs <= options.exact_max_inputs &&
-         num_inputs <= kSweepMaxInputs;
-}
-
-/// Rungs 1 and 2 of the per-path ladder: the sweep, else SAT on the
-/// path's cone.  When neither answers, the verdict is left on the
-/// approximate rung and keeps the path.
-ResilientPathVerdict exact_verdict(const Circuit& circuit,
-                                   const LogicalPath& path, Criterion criterion,
-                                   const InputSort* sort,
-                                   const ResilientOptions& options,
-                                   ConeSolvers& cones) {
-  ResilientPathVerdict verdict;
-  ExecGuard* guard = options.guard;
-
-  const auto record_degrade = [&](AbortReason reason) {
-    if (verdict.degraded_reason == AbortReason::kNone)
-      verdict.degraded_reason = reason;
-  };
-
-  // Rung 1: the sweep costs 2^n simulations — charge it up front so a
-  // work/deadline-guarded caller degrades instead of blocking.
-  if (sweep_feasible(circuit, options)) {
-    const std::size_t num_inputs = circuit.inputs().size();
-    if (guard == nullptr || guard->check(std::uint64_t{1} << num_inputs)) {
-      verdict.survives = exactly_sensitizable(circuit, path, criterion, sort);
-      verdict.exact = true;
-      verdict.engine = EngineRung::kExact;
-      return verdict;
-    }
-    record_degrade(guard->reason());
-  } else {
-    record_degrade(guard_tripped(guard) ? guard->reason()
-                                        : AbortReason::kWorkBudget);
+/// Heap bytes of the held keys, charged to the guard while they are
+/// refined.
+class HeldKeysCharge {
+ public:
+  HeldKeysCharge(const std::vector<std::vector<std::uint32_t>>& keys,
+                 ExecGuard* guard)
+      : guard_(guard) {
+    if (guard_ == nullptr) return;
+    bytes_ = keys.capacity() * sizeof(keys[0]);
+    for (const auto& key : keys) bytes_ += key.capacity() * sizeof(key[0]);
+    guard_->add_memory(bytes_);
   }
-
-  // Rung 2: one bounded SAT query, charged one unit so the guard is
-  // polled even when the solver meets no conflict.
-  if (guard == nullptr || guard->check()) {
-    const std::optional<bool> sensitizable =
-        cones.sensitizable(path, criterion, sort);
-    if (sensitizable.has_value()) {
-      verdict.survives = *sensitizable;
-      verdict.exact = true;
-      verdict.engine = EngineRung::kSatBounded;
-      return verdict;
-    }
-    record_degrade(guard_tripped(guard) ? guard->reason()
-                                        : AbortReason::kWorkBudget);
-  } else {
-    record_degrade(guard->reason());
+  ~HeldKeysCharge() {
+    if (guard_ != nullptr) guard_->sub_memory(bytes_);
   }
-  return verdict;
+  HeldKeysCharge(const HeldKeysCharge&) = delete;
+  HeldKeysCharge& operator=(const HeldKeysCharge&) = delete;
+
+ private:
+  ExecGuard* guard_;
+  std::uint64_t bytes_ = 0;
+};
+
+/// The ladder's one exact judge: a guard poll, charged one unit so the
+/// guard is polled even when the solver meets no conflict, then one
+/// bounded SAT query on the path's cone.  nullopt when it did not
+/// answer; the path is then kept.
+std::optional<bool> exact_verdict(const LogicalPath& path, Criterion criterion,
+                                  const InputSort* sort, ExecGuard* guard,
+                                  ConeSolvers& cones) {
+  if (guard != nullptr && !guard->check()) return std::nullopt;
+  return cones.sensitizable(path, criterion, sort);
 }
 
 }  // namespace
@@ -121,7 +98,6 @@ ResilientPathVerdict exact_verdict(const Circuit& circuit,
 const char* engine_rung_name(EngineRung rung) {
   switch (rung) {
     case EngineRung::kExact: return "exact";
-    case EngineRung::kSatBounded: return "sat";
     case EngineRung::kApproximate: return "approximate";
   }
   return "unknown";
@@ -136,16 +112,12 @@ ResilientClassifyResult classify_resilient(const Circuit& circuit,
   ResilientClassifyResult result;
   ExecGuard* guard = options.guard;
 
-  // The weakest rung used so far; only the first (strongest) reason
-  // for leaving a rung is reported as the degradation cause.
-  const auto degrade = [&](EngineRung rung, AbortReason reason) {
-    result.engine = std::max(result.engine, rung);
-    if (result.degraded_reason == AbortReason::kNone)
-      result.degraded_reason = reason;
+  // Only the first reason for leaving the exact rung is reported.
+  const auto degrade = [&](AbortReason reason) {
+    if (result.engine == EngineRung::kExact) result.degraded_reason = reason;
+    result.engine = EngineRung::kApproximate;
   };
   result.engine = EngineRung::kExact;
-  if (!sweep_feasible(circuit, options))
-    degrade(EngineRung::kSatBounded, AbortReason::kWorkBudget);
 
   // The path-space exploration, under the caller's options: it is the
   // approximate rung's answer and counts the kept set before any key
@@ -157,9 +129,9 @@ ResilientClassifyResult classify_resilient(const Circuit& circuit,
   classified = classify_paths(circuit, classify_options);
 
   if (!classified.completed) {
-    degrade(EngineRung::kApproximate, classified.abort_reason);
+    degrade(classified.abort_reason);
   } else if (classified.kept_paths > max_refined_paths) {
-    degrade(EngineRung::kApproximate, AbortReason::kWorkBudget);
+    degrade(AbortReason::kWorkBudget);
   } else {
     // A guard trip or an unfinished key run abandons the refinement.
     AbortReason abandoned = AbortReason::kNone;
@@ -179,22 +151,26 @@ ResilientClassifyResult classify_resilient(const Circuit& circuit,
       }
     }
     // Refine each kept path; a budget-out keeps it.
+    const HeldKeysCharge charge(keys, guard);
     ConeSolvers cones(circuit, guard);
     std::vector<bool> survives;
     survives.reserve(keys.size());
     for (std::size_t i = 0; abandoned == AbortReason::kNone && i < keys.size();
          ++i) {
-      const ResilientPathVerdict verdict = exact_verdict(
-          circuit, LogicalPath::from_key(keys[i]), options.classify.criterion,
-          options.classify.sort, options, cones);
-      degrade(verdict.engine, verdict.degraded_reason);
-      survives.push_back(verdict.survives);
-      if (guard_tripped(guard)) abandoned = guard->reason();
+      const std::optional<bool> verdict = exact_verdict(
+          LogicalPath::from_key(keys[i]), options.classify.criterion,
+          options.classify.sort, guard, cones);
+      if (guard_tripped(guard)) {
+        abandoned = guard->reason();
+      } else if (!verdict.has_value()) {
+        degrade(AbortReason::kWorkBudget);
+      }
+      survives.push_back(verdict.value_or(true));
     }
     if (abandoned != AbortReason::kNone) {
       // The classifier's answer stands, marked with the cause so a
-      // cancelled or out-of-time run reports as aborted.
-      degrade(EngineRung::kApproximate, abandoned);
+      // cancelled, out-of-time or out-of-memory run reports as aborted.
+      degrade(abandoned);
       classified.completed = false;
       classified.abort_reason = abandoned;
     } else {
@@ -220,19 +196,6 @@ ResilientClassifyResult classify_resilient(const Circuit& circuit,
 ResilientClassifyResult classify_resilient(const Circuit& circuit,
                                            const ResilientOptions& options) {
   return internal::classify_resilient(circuit, options, kMaxRefinedPaths);
-}
-
-ResilientPathVerdict resilient_path_sensitizable(
-    const Circuit& circuit, const LogicalPath& path, Criterion criterion,
-    const InputSort* sort, const ResilientOptions& options) {
-  ConeSolvers cones(circuit, options.guard);
-  ResilientPathVerdict verdict =
-      exact_verdict(circuit, path, criterion, sort, options, cones);
-  // Rung 3: local implications — instant and conservative.
-  if (verdict.engine == EngineRung::kApproximate)
-    verdict.survives =
-        path_survives_local_implications(circuit, path, criterion, sort);
-  return verdict;
 }
 
 }  // namespace rd

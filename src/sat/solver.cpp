@@ -257,8 +257,12 @@ SatResult SatSolver::solve(const std::vector<SatLit>& assumptions,
         const auto index = static_cast<std::int32_t>(clauses_.size() - 1);
         attach(index);
         enqueue(learnt[0], index);
-        if (guard_ != nullptr)
-          guard_->add_memory(learnt.size() * sizeof(SatLit) + sizeof(Clause));
+        if (guard_ != nullptr) {
+          const std::uint64_t bytes =
+              learnt.size() * sizeof(SatLit) + sizeof(Clause);
+          guard_->add_memory(bytes);
+          guard_bytes_ += bytes;
+        }
       }
       decay();
       if (max_conflicts != 0 && conflicts_this_call >= max_conflicts) {

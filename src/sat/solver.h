@@ -35,6 +35,9 @@ enum class SatResult : std::uint8_t { kSat, kUnsat, kUnknown };
 class SatSolver {
  public:
   SatSolver() = default;
+  ~SatSolver() { set_guard(nullptr); }
+  SatSolver(const SatSolver&) = delete;
+  SatSolver& operator=(const SatSolver&) = delete;
 
   /// Creates a fresh variable and returns its index.
   SatVar new_var();
@@ -58,10 +61,15 @@ class SatSolver {
   std::uint64_t propagations() const { return stats_propagations_; }
 
   /// Attaches an execution guard: it is polled once per conflict (each
-  /// learnt clause also charges its approximate footprint), and a trip
-  /// makes the current solve() return kUnknown after backtracking to
-  /// level 0 — the solver stays usable.  Pass nullptr to detach.
-  void set_guard(ExecGuard* guard) { guard_ = guard; }
+  /// learnt clause also charges its approximate footprint until the
+  /// guard is detached or the solver destroyed), and a trip makes the
+  /// current solve() return kUnknown after backtracking to level 0 —
+  /// the solver stays usable.  Pass nullptr to detach.
+  void set_guard(ExecGuard* guard) {
+    if (guard_ != nullptr) guard_->sub_memory(guard_bytes_);
+    guard_ = guard;
+    guard_bytes_ = 0;
+  }
 
   /// Why the most recent solve() returned kUnknown: kWorkBudget for
   /// the conflict budget, otherwise the guard's cause.  kNone after
@@ -114,6 +122,7 @@ class SatSolver {
   std::uint64_t stats_propagations_ = 0;
 
   ExecGuard* guard_ = nullptr;
+  std::uint64_t guard_bytes_ = 0;  // learnt-clause bytes charged to guard_
   AbortReason last_abort_reason_ = AbortReason::kNone;
 };
 

@@ -1,13 +1,14 @@
 // End-to-end tests of the graceful-degradation ladder: the classifier
-// runs once and each kept path is refined by the sweep when feasible,
-// else by SAT on its PO cone; capacity misses and guard trips degrade
-// to the SAT-bounded and approximate rungs in order, and every rung
-// keeps a sound superset of the truly sensitizable paths.  A guard
-// trip after the classifier keeps its set but reports the abort.
+// runs once and each kept path is refined by SAT on its PO cone, which
+// the exhaustive sweep checks as an independent oracle; capacity
+// misses and guard trips degrade to the approximate rung, which keeps
+// a sound superset of the truly sensitizable paths.  A guard trip
+// after the classifier keeps its set but reports the abort.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/classify.h"
@@ -16,26 +17,16 @@
 #include "core/resilient.h"
 #include "gen/examples.h"
 #include "gen/iscas_like.h"
+#include "gen/pla_like.h"
 #include "paths/path.h"
 #include "sat/cnf.h"
 #include "sat/solver.h"
+#include "synth/synth.h"
 #include "util/exec_guard.h"
 #include "util/rng.h"
 
 namespace rd {
 namespace {
-
-std::vector<LogicalPath> all_logical_paths(const Circuit& circuit) {
-  std::vector<LogicalPath> paths;
-  enumerate_paths(
-      circuit,
-      [&](const PhysicalPath& physical) {
-        paths.push_back(LogicalPath{physical, false});
-        paths.push_back(LogicalPath{physical, true});
-      },
-      std::uint64_t{1} << 20);
-  return paths;
-}
 
 /// Guard checks one classifier run under `options` makes on
 /// `circuit`.  The ladder's first run is that one, so a trip injected
@@ -59,43 +50,65 @@ InputSort heuristic1(const Circuit& circuit) {
 
 TEST(EngineRung, StableNames) {
   EXPECT_STREQ(engine_rung_name(EngineRung::kExact), "exact");
-  EXPECT_STREQ(engine_rung_name(EngineRung::kSatBounded), "sat");
   EXPECT_STREQ(engine_rung_name(EngineRung::kApproximate), "approximate");
 }
 
-TEST(Resilient, ExactRungAnswersOnSmallCircuit) {
-  const Circuit circuit = c17();
-  const ResilientClassifyResult result = classify_resilient(circuit, {});
-  EXPECT_EQ(result.engine, EngineRung::kExact);
-  EXPECT_EQ(result.degraded_reason, AbortReason::kNone);
-  EXPECT_TRUE(result.classify.completed);
-  const LogicalPathSet exact =
-      exact_kept_paths(circuit, Criterion::kFunctionalSensitizable);
-  EXPECT_EQ(result.classify.kept_paths, exact.size());
+/// The MCNC-like Table III stand-in `name`, synthesized multi-level.
+Circuit mcnc_like(const std::string& name) {
+  for (const PlaProfile& profile : mcnc_profiles())
+    if (profile.name == name)
+      return synthesize_multilevel(make_pla_like(profile));
+  ADD_FAILURE() << "no profile " << name;
+  return Circuit();
 }
 
-TEST(Resilient, DegradesToSatWhenExactInfeasible) {
-  const Circuit circuit = c17();
-  ResilientOptions options;
-  options.exact_max_inputs = 1;  // c17 has 5 PIs: rung 1 is out of reach
-  const ResilientClassifyResult result = classify_resilient(circuit, options);
-  EXPECT_EQ(result.engine, EngineRung::kSatBounded);
-  EXPECT_EQ(result.degraded_reason, AbortReason::kWorkBudget);
-  EXPECT_TRUE(result.classify.completed);
-  // SAT with a generous conflict budget answers every query exactly on
-  // a circuit this small, so it matches the exhaustive sweep.
-  const LogicalPathSet exact =
-      exact_kept_paths(circuit, Criterion::kFunctionalSensitizable);
-  EXPECT_EQ(result.classify.kept_paths, exact.size());
+TEST(Resilient, ExactRungAnswersOnSmallCircuit) {
+  // The ladder's SAT refinement against the exhaustive sweep, which
+  // shares no code with it or the DFS: the refined kept set is the
+  // exact one, path by path, on every circuit small enough to sweep.
+  std::vector<Circuit> circuits;
+  circuits.push_back(c17());
+  circuits.push_back(paper_example_circuit());
+  circuits.push_back(mcnc_like("bw"));
+  circuits.push_back(mcnc_like("Z5xp1"));
+  for (const Circuit& circuit : circuits) {
+    const InputSort sort = heuristic1(circuit);
+    for (const Criterion criterion :
+         {Criterion::kFunctionalSensitizable, Criterion::kNonRobust,
+          Criterion::kInputSort}) {
+      ResilientOptions options;
+      options.classify.criterion = criterion;
+      options.classify.sort =
+          criterion == Criterion::kInputSort ? &sort : nullptr;
+      options.classify.collect_paths_limit = std::uint64_t{1} << 20;
+      const LogicalPathSet exact =
+          exact_kept_paths(circuit, criterion, options.classify.sort);
+      for (const std::size_t threads : {1u, 2u, 4u}) {
+        SCOPED_TRACE(circuit.name() + " criterion " +
+                     std::to_string(static_cast<int>(criterion)) +
+                     " threads " + std::to_string(threads));
+        options.classify.num_threads = threads;
+        const ResilientClassifyResult result =
+            classify_resilient(circuit, options);
+        EXPECT_EQ(result.engine, EngineRung::kExact);
+        EXPECT_EQ(result.degraded_reason, AbortReason::kNone);
+        ASSERT_TRUE(result.classify.completed);
+        EXPECT_EQ(result.classify.kept_paths, exact.size());
+        const LogicalPathSet kept(result.classify.kept_keys.begin(),
+                                  result.classify.kept_keys.end());
+        EXPECT_EQ(kept.size(), result.classify.kept_keys.size());
+        EXPECT_EQ(kept, exact);
+      }
+    }
+  }
 }
 
 TEST(Resilient, DegradesToApproximateWhenSatCapped) {
-  // More kept paths than the refinement cap leave the SAT rung
-  // unanswered: the run keeps the classifier's complete answer and
+  // More kept paths than the refinement cap leave the kept set
+  // unrefined: the run keeps the classifier's complete answer and
   // holds no keys the caller did not ask for.
   const Circuit circuit = c17();
   ResilientOptions options;
-  options.exact_max_inputs = 1;
   const ResilientClassifyResult result =
       internal::classify_resilient(circuit, options, 1);
   EXPECT_EQ(result.engine, EngineRung::kApproximate);
@@ -134,7 +147,6 @@ TEST(Resilient, GuardTripAfterClassifierReportsItsCause) {
     for (const AbortReason cause :
          {AbortReason::kCancelled, AbortReason::kDeadline}) {
       ResilientOptions options;
-      options.exact_max_inputs = 1;
       options.classify.collect_paths_limit = key_limit;
       const std::uint64_t kept =
           classify_paths(circuit, options.classify).kept_paths;
@@ -145,7 +157,7 @@ TEST(Resilient, GuardTripAfterClassifierReportsItsCause) {
       const ResilientClassifyResult result =
           classify_resilient(circuit, options);
       EXPECT_EQ(result.engine, EngineRung::kApproximate) << key_limit;
-      EXPECT_EQ(result.degraded_reason, AbortReason::kWorkBudget);
+      EXPECT_EQ(result.degraded_reason, cause) << key_limit;
       EXPECT_FALSE(result.classify.completed) << key_limit;
       EXPECT_EQ(result.classify.abort_reason, cause) << key_limit;
       EXPECT_EQ(result.classify.kept_paths, kept) << key_limit;
@@ -169,78 +181,69 @@ TEST(Resilient, UntrippedGuardMatchesGuardFreeRun) {
   EXPECT_EQ(with_guard.degraded_reason, AbortReason::kNone);
 }
 
-TEST(Resilient, PathVerdictExactRung) {
-  const Circuit circuit = c17();
-  for (const LogicalPath& path : all_logical_paths(circuit)) {
-    const ResilientPathVerdict verdict = resilient_path_sensitizable(
-        circuit, path, Criterion::kFunctionalSensitizable);
-    EXPECT_TRUE(verdict.exact);
-    EXPECT_EQ(verdict.engine, EngineRung::kExact);
-    EXPECT_EQ(verdict.degraded_reason, AbortReason::kNone);
-    EXPECT_EQ(verdict.survives,
-              exactly_sensitizable(circuit, path,
-                                   Criterion::kFunctionalSensitizable));
-  }
-}
-
-TEST(Resilient, PathVerdictSatRungStaysExact) {
-  const Circuit circuit = c17();
+TEST(Resilient, HeldKeysAreChargedToTheGuard) {
+  // At one thread the check count is deterministic, so the first
+  // refinement check is the one after the classifier's.  The held keys
+  // count against the memory ceiling there, and every charge is
+  // released by the time the ladder returns.
+  const Circuit circuit = paper_example_circuit();
   ResilientOptions options;
-  options.exact_max_inputs = 1;  // force the SAT rung
-  for (const LogicalPath& path : all_logical_paths(circuit)) {
-    const ResilientPathVerdict verdict = resilient_path_sensitizable(
-        circuit, path, Criterion::kFunctionalSensitizable, nullptr, options);
-    EXPECT_TRUE(verdict.exact);
-    EXPECT_EQ(verdict.engine, EngineRung::kSatBounded);
-    EXPECT_EQ(verdict.degraded_reason, AbortReason::kWorkBudget);
-    EXPECT_EQ(verdict.survives,
-              exactly_sensitizable(circuit, path,
-                                   Criterion::kFunctionalSensitizable));
-  }
-}
+  options.classify.collect_paths_limit = std::uint64_t{1} << 20;
+  const ClassifyResult classified = classify_paths(circuit, options.classify);
+  ASSERT_GT(classified.kept_paths, 0u);
+  std::uint64_t held_bytes = 0;
+  for (const auto& key : classified.kept_keys)
+    held_bytes += sizeof(key) + key.size() * sizeof(key[0]);
+  const std::uint64_t first_refinement_check =
+      classifier_checks(circuit, options) + 1;
 
-TEST(Resilient, PathVerdictFallsToApproximateOnTrippedGuard) {
-  const Circuit circuit = c17();
   ExecGuard guard;
-  guard.trip(AbortReason::kMemory);
-  ResilientOptions options;
+  guard.add_memory(1000);  // a charge the ladder does not own
+  const std::uint64_t before = guard.memory_used();
+  std::uint64_t while_refining = 0;
+  guard.inject_at_check(first_refinement_check,
+                        [&] { while_refining = guard.memory_used(); });
   options.guard = &guard;
-  const std::vector<LogicalPath> paths = all_logical_paths(circuit);
-  ASSERT_FALSE(paths.empty());
-  const ResilientPathVerdict verdict = resilient_path_sensitizable(
-      circuit, paths.front(), Criterion::kFunctionalSensitizable, nullptr,
-      options);
-  EXPECT_FALSE(verdict.exact);
-  EXPECT_EQ(verdict.engine, EngineRung::kApproximate);
-  EXPECT_EQ(verdict.degraded_reason, AbortReason::kMemory);
-  // The approximate verdict must stay keep-side sound.
-  if (exactly_sensitizable(circuit, paths.front(),
-                           Criterion::kFunctionalSensitizable)) {
-    EXPECT_TRUE(verdict.survives);
-  }
+  const ResilientClassifyResult result = classify_resilient(circuit, options);
+  EXPECT_EQ(result.engine, EngineRung::kExact);
+  EXPECT_GE(while_refining, before + held_bytes);
+  EXPECT_EQ(guard.memory_used(), before);
+
+  // A ceiling just under the refinement's charge trips there: the run
+  // keeps the classifier's set and reports the memory cause.
+  ExecGuardOptions ceiling;
+  ceiling.memory_limit_bytes = while_refining - 1;
+  ExecGuard tight(ceiling);
+  tight.add_memory(1000);
+  options.guard = &tight;
+  const ResilientClassifyResult tripped = classify_resilient(circuit, options);
+  EXPECT_EQ(tight.checks(), first_refinement_check);
+  EXPECT_EQ(tripped.engine, EngineRung::kApproximate);
+  EXPECT_EQ(tripped.degraded_reason, AbortReason::kMemory);
+  EXPECT_FALSE(tripped.classify.completed);
+  EXPECT_EQ(tripped.classify.abort_reason, AbortReason::kMemory);
+  EXPECT_EQ(tripped.classify.kept_paths, classified.kept_paths);
+  EXPECT_EQ(tripped.classify.kept_keys, classified.kept_keys);
+  EXPECT_EQ(tight.memory_used(), before);
 }
 
 TEST(Resilient, EveryRungKeepsSupersetOfExact) {
   // Soundness across the whole ladder on the paper's example circuit:
-  // each rung's kept count is >= the exhaustive one and the rungs are
-  // ordered approximate >= sat >= exact.
+  // the exact rung keeps the exhaustive set and the approximate rung a
+  // superset of it.
   const Circuit circuit = paper_example_circuit();
   const LogicalPathSet exact =
       exact_kept_paths(circuit, Criterion::kFunctionalSensitizable);
 
-  ResilientOptions sat_only;
-  sat_only.exact_max_inputs = 0;
-  const ResilientClassifyResult sat = classify_resilient(circuit, sat_only);
-  ASSERT_EQ(sat.engine, EngineRung::kSatBounded);
+  const ResilientClassifyResult refined = classify_resilient(circuit, {});
+  ASSERT_EQ(refined.engine, EngineRung::kExact);
 
-  ResilientOptions approx_only;
-  approx_only.exact_max_inputs = 0;
   const ResilientClassifyResult approx =
-      internal::classify_resilient(circuit, approx_only, 0);
+      internal::classify_resilient(circuit, {}, 0);
   ASSERT_EQ(approx.engine, EngineRung::kApproximate);
 
-  EXPECT_GE(sat.classify.kept_paths, exact.size());
-  EXPECT_GE(approx.classify.kept_paths, sat.classify.kept_paths);
+  EXPECT_EQ(refined.classify.kept_paths, exact.size());
+  EXPECT_GE(approx.classify.kept_paths, refined.classify.kept_paths);
 }
 
 TEST(Resilient, ConeEncodingMatchesWholeCircuit) {
@@ -303,8 +306,8 @@ TEST(Resilient, SatRefinementIsExactOnC3540) {
   for (const std::size_t threads : {1u, 2u, 4u}) {
     options.classify.num_threads = threads;
     const ResilientClassifyResult result = classify_resilient(circuit, options);
-    EXPECT_EQ(result.engine, EngineRung::kSatBounded) << threads;
-    EXPECT_EQ(result.degraded_reason, AbortReason::kWorkBudget) << threads;
+    EXPECT_EQ(result.engine, EngineRung::kExact) << threads;
+    EXPECT_EQ(result.degraded_reason, AbortReason::kNone) << threads;
     ASSERT_TRUE(result.classify.completed);
     EXPECT_EQ(result.classify.kept_paths, 14036u) << threads;
     ASSERT_EQ(result.classify.kept_keys.size(), result.classify.kept_paths);
@@ -321,7 +324,8 @@ TEST(Resilient, SatRefinementIsExactOnC3540) {
   // ladder's own key-collecting run, and no keys.
   options.classify.collect_paths_limit = 0;
   const ResilientClassifyResult counted = classify_resilient(circuit, options);
-  EXPECT_EQ(counted.engine, EngineRung::kSatBounded);
+  EXPECT_EQ(counted.engine, EngineRung::kExact);
+  EXPECT_EQ(counted.degraded_reason, AbortReason::kNone);
   EXPECT_EQ(counted.classify.kept_paths, 14036u);
   EXPECT_TRUE(counted.classify.kept_keys.empty());
 }

@@ -391,7 +391,7 @@ TEST(RunReportValidate, RejectsMalformedResilientBlock) {
 
   // The resilient block is optional; a well-formed one passes.
   ResilientClassifyResult ladder;
-  ladder.engine = EngineRung::kSatBounded;
+  ladder.engine = EngineRung::kApproximate;
   ladder.degraded_reason = AbortReason::kMemory;
   report.set("resilient", resilient_json(ladder));
   EXPECT_TRUE(validate_run_report(report).empty());

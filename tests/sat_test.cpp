@@ -53,30 +53,58 @@ TEST(Sat, TautologyAndDuplicatesHandled) {
   EXPECT_EQ(solver.solve(), SatResult::kSat);
 }
 
+/// Adds PHP(holes + 1, holes): holes + 1 pigeons in `holes` holes —
+/// UNSAT, and refuting it requires learning.
+void add_pigeonhole(SatSolver& solver, int holes) {
+  const int pigeons = holes + 1;
+  std::vector<std::vector<SatVar>> in(pigeons, std::vector<SatVar>(holes));
+  for (auto& row : in)
+    for (auto& var : row) var = solver.new_var();
+  // Every pigeon somewhere.
+  for (int p = 0; p < pigeons; ++p) {
+    std::vector<SatLit> clause;
+    for (int h = 0; h < holes; ++h) clause.push_back(mk_lit(in[p][h]));
+    solver.add_clause(std::move(clause));
+  }
+  // No two pigeons share a hole.
+  for (int h = 0; h < holes; ++h)
+    for (int p1 = 0; p1 < pigeons; ++p1)
+      for (int p2 = p1 + 1; p2 < pigeons; ++p2)
+        solver.add_clause({mk_lit(in[p1][h], true), mk_lit(in[p2][h], true)});
+}
+
 TEST(Sat, PigeonholePrinciple) {
-  // PHP(n+1, n): n+1 pigeons in n holes — UNSAT, requires learning.
   for (int holes = 2; holes <= 4; ++holes) {
-    const int pigeons = holes + 1;
     SatSolver solver;
-    std::vector<std::vector<SatVar>> in(pigeons,
-                                        std::vector<SatVar>(holes));
-    for (auto& row : in)
-      for (auto& var : row) var = solver.new_var();
-    // Every pigeon somewhere.
-    for (int p = 0; p < pigeons; ++p) {
-      std::vector<SatLit> clause;
-      for (int h = 0; h < holes; ++h) clause.push_back(mk_lit(in[p][h]));
-      solver.add_clause(std::move(clause));
-    }
-    // No two pigeons share a hole.
-    for (int h = 0; h < holes; ++h)
-      for (int p1 = 0; p1 < pigeons; ++p1)
-        for (int p2 = p1 + 1; p2 < pigeons; ++p2)
-          solver.add_clause(
-              {mk_lit(in[p1][h], true), mk_lit(in[p2][h], true)});
+    add_pigeonhole(solver, holes);
     EXPECT_EQ(solver.solve(), SatResult::kUnsat) << holes << " holes";
     EXPECT_GT(solver.conflicts(), 0u);
   }
+}
+
+TEST(Sat, LearntClauseChargeIsReleased) {
+  // Learnt clauses charge the attached guard, and the charge goes back
+  // when the guard is detached or the solver is destroyed, so a guard
+  // shared by several solvers does not count freed clauses.
+  ExecGuard guard;
+  guard.add_memory(1000);  // a charge the solvers do not own
+  {
+    SatSolver solver;
+    solver.set_guard(&guard);
+    add_pigeonhole(solver, 4);
+    EXPECT_EQ(solver.solve(), SatResult::kUnsat);
+    EXPECT_GT(guard.memory_used(), 1000u);
+    solver.set_guard(nullptr);
+    EXPECT_EQ(guard.memory_used(), 1000u);
+  }
+  {
+    SatSolver solver;
+    solver.set_guard(&guard);
+    add_pigeonhole(solver, 4);
+    EXPECT_EQ(solver.solve(), SatResult::kUnsat);
+    EXPECT_GT(guard.memory_used(), 1000u);
+  }
+  EXPECT_EQ(guard.memory_used(), 1000u);
 }
 
 TEST(Sat, RandomCnfMatchesBruteForce) {
@@ -243,15 +271,13 @@ TEST(SatSensitizable, AgreesWithExhaustiveAndBdd) {
 }
 
 TEST(SatSensitizable, ExactCountMatchesBddOnMidSize) {
-  // The resilient ladder with the sweep out of reach refines every FS
-  // kept path by SAT on its PO cone.
+  // The resilient ladder refines every FS kept path by SAT on its PO
+  // cone.
   const Circuit circuit = make_benchmark("c880");
-  ResilientOptions options;
-  options.exact_max_inputs = 0;
-  const ResilientClassifyResult via_sat = classify_resilient(circuit, options);
+  const ResilientClassifyResult via_sat = classify_resilient(circuit, {});
   const auto via_bdd =
       bdd_exact_kept_count(circuit, Criterion::kFunctionalSensitizable);
-  ASSERT_EQ(via_sat.engine, EngineRung::kSatBounded);
+  ASSERT_EQ(via_sat.engine, EngineRung::kExact);
   ASSERT_TRUE(via_bdd.has_value());
   EXPECT_EQ(via_sat.classify.kept_paths, *via_bdd);
 }
