@@ -22,7 +22,7 @@
 #include <optional>
 #include <vector>
 
-#include "atpg/stuck_at.h"
+#include "atpg/verdict.h"
 #include "netlist/circuit.h"
 #include "paths/path.h"
 #include "util/exec_guard.h"
@@ -57,29 +57,5 @@ NonRobustSearch search_nonrobust_test(const Circuit& circuit,
 /// must detect the path at least non-robustly (classify_path_detection).
 bool nonrobust_test_is_valid(const Circuit& circuit, const LogicalPath& path,
                              const NonRobustTest& test);
-
-class ImplicationEngine;
-
-namespace internal {
-
-/// Outcome of complete_pi_assignment; `pis` (index-aligned with
-/// circuit.inputs()) is filled on kTestable only.
-struct PiCompletion {
-  AtpgVerdict verdict = AtpgVerdict::kAborted;
-  std::vector<bool> pis;
-  AbortReason abort_reason = AbortReason::kNone;
-};
-
-/// The PI-completion branch-and-bound shared by the non-robust and
-/// transition generators: extends `engine`'s partial assignment to
-/// every PI, in index order, 0 before 1, each decision pruned by
-/// implication.  Each node adds one to the running total `nodes` and
-/// polls `guard`; the search aborts once `nodes` exceeds `max_nodes`.
-PiCompletion complete_pi_assignment(const Circuit& circuit,
-                                    ImplicationEngine& engine,
-                                    std::uint64_t max_nodes, ExecGuard* guard,
-                                    std::uint64_t& nodes);
-
-}  // namespace internal
 
 }  // namespace rd

@@ -22,7 +22,7 @@
 #include <optional>
 #include <vector>
 
-#include "atpg/stuck_at.h"
+#include "atpg/verdict.h"
 #include "atpg/waveform.h"
 #include "netlist/circuit.h"
 #include "paths/path.h"

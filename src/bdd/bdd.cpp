@@ -37,12 +37,6 @@ BddRef BddManager::make_node(std::uint32_t var, BddRef lo, BddRef hi) {
   const auto it = unique_.find(key);
   if (it != unique_.end()) return it->second;
   if (nodes_.size() >= max_nodes_) throw NodeLimitExceeded{};
-  if (guard_ != nullptr) {
-    // Arena footprint per node: the Node itself plus the unique-table
-    // entry (key, ref, bucket overhead) — close enough for a ceiling.
-    guard_->add_memory(sizeof(Node) + 2 * sizeof(std::uint64_t));
-    if (!guard_->check()) throw GuardTrippedError(guard_->reason());
-  }
   const BddRef ref = static_cast<BddRef>(nodes_.size());
   nodes_.push_back(Node{var, lo, hi});
   unique_.emplace(key, ref);

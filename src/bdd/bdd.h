@@ -4,9 +4,10 @@
 // nodes, memoized ITE, the usual boolean connectives, satisfiability
 // witnesses and model counting.  It exists to give the library *exact*
 // functional reasoning at a scale the 2^n enumeration sweeps in
-// core/exact.h cannot reach: exact functional sensitizability checks
-// (core/exact_bdd.h) and combinational equivalence checking used to
-// validate the synthesizer and the leaf-dag baseline.
+// core/exact.h cannot reach: exact logical-path sensitizability
+// (bdd_sensitizable) and combinational equivalence checking
+// (check_equivalent), both in bdd/bdd_circuit.h, used to validate the
+// synthesizer and the leaf-dag baseline.
 //
 // Nodes are arena-allocated and never freed (no reference counting or
 // garbage collection); a configurable node limit aborts runaway
@@ -19,7 +20,6 @@
 #include <vector>
 
 #include "util/biguint.h"
-#include "util/exec_guard.h"
 
 namespace rd {
 
@@ -67,12 +67,6 @@ class BddManager {
   /// Thrown (as std::runtime_error) when max_nodes is exceeded.
   struct NodeLimitExceeded;
 
-  /// Attaches an execution guard: every allocated node charges one
-  /// unit of work and its approximate arena footprint, and a tripped
-  /// guard makes make_node throw GuardTrippedError (callers treat it
-  /// like NodeLimitExceeded: answer unknown).  Pass nullptr to detach.
-  void set_guard(ExecGuard* guard) { guard_ = guard; }
-
  private:
   struct Node {
     std::uint32_t var;  // level; terminals use num_vars_
@@ -85,7 +79,6 @@ class BddManager {
 
   std::uint32_t num_vars_;
   std::size_t max_nodes_;
-  ExecGuard* guard_ = nullptr;
   std::vector<Node> nodes_;
   std::unordered_map<std::uint64_t, BddRef> unique_;
   std::unordered_map<std::uint64_t, BddRef> ite_cache_;

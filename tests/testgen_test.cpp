@@ -8,7 +8,6 @@
 #include "atpg/path_fault_sim.h"
 #include "atpg/robust.h"
 #include "atpg/testset.h"
-#include "atpg/transition.h"
 #include "core/exact.h"
 #include "gen/examples.h"
 #include "gen/iscas_like.h"
@@ -213,20 +212,19 @@ TEST(TestSet, PaperExampleGenerationIsPinned) {
 }
 
 // The test sets above never reach the non-robust completion search, so
-// each generator's per-target searches are pinned as well: testable
-// targets and total nodes over every path (robust, non-robust) and
-// every transition fault.
+// each generator's per-path searches are pinned as well: testable
+// targets and total nodes over every path (robust, non-robust).
 TEST(AtpgSearch, NodeCountsArePinned) {
   struct Pin {
     Circuit circuit;
-    std::size_t robust, nonrobust, transition;
-    std::uint64_t robust_nodes, nonrobust_nodes, transition_nodes;
+    std::size_t robust, nonrobust;
+    std::uint64_t robust_nodes, nonrobust_nodes;
   };
-  const Pin pins[] = {{c17(), 22, 22, 22, 120, 70, 191},
-                      {paper_example_circuit(), 5, 5, 9, 39, 8, 74}};
+  const Pin pins[] = {{c17(), 22, 22, 120, 70},
+                      {paper_example_circuit(), 5, 5, 39, 8}};
   for (const Pin& pin : pins) {
-    std::size_t robust = 0, nonrobust = 0, transition = 0;
-    std::uint64_t robust_nodes = 0, nonrobust_nodes = 0, transition_nodes = 0;
+    std::size_t robust = 0, nonrobust = 0;
+    std::uint64_t robust_nodes = 0, nonrobust_nodes = 0;
     for (const LogicalPath& path : all_logical_paths(pin.circuit)) {
       const RobustSearch r = search_robust_test(pin.circuit, path);
       robust += r.verdict == AtpgVerdict::kTestable;
@@ -235,18 +233,11 @@ TEST(AtpgSearch, NodeCountsArePinned) {
       nonrobust += n.verdict == AtpgVerdict::kTestable;
       nonrobust_nodes += n.nodes;
     }
-    for (const TransitionFault& fault : all_transition_faults(pin.circuit)) {
-      const TransitionSearch t = search_transition_test(pin.circuit, fault);
-      transition += t.verdict == AtpgVerdict::kTestable;
-      transition_nodes += t.nodes;
-    }
     const std::string& name = pin.circuit.name();
     EXPECT_EQ(robust, pin.robust) << name;
     EXPECT_EQ(nonrobust, pin.nonrobust) << name;
-    EXPECT_EQ(transition, pin.transition) << name;
     EXPECT_EQ(robust_nodes, pin.robust_nodes) << name;
     EXPECT_EQ(nonrobust_nodes, pin.nonrobust_nodes) << name;
-    EXPECT_EQ(transition_nodes, pin.transition_nodes) << name;
   }
 }
 
