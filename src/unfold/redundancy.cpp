@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 #include "paths/counting.h"
 #include "sim/logic_sim.h"
 #include "unfold/leaf_dag.h"
 #include "unfold/xfault.h"
-#include "util/rng.h"
-#include "util/stopwatch.h"
 
 namespace rd {
 
@@ -122,149 +119,186 @@ SimplifyResult propagate_constant(const Circuit& circuit, LeadId forced_lead,
 
 namespace {
 
-/// Random-pattern prefilter: per (lead, killed value), a mask of
-/// patterns that observe an X injected there at a PO — exact for the
-/// leaf-dag's tree structure (observability propagates backwards along
-/// each gate's unique fanout).  A nonzero mask rejects the kill without
-/// running the complete search: if the X is observable with no other
-/// kills active, it stays observable under any larger kill set (more
-/// injected X only widens the undetermined region).
-struct BatchDetect {
-  std::vector<std::uint64_t> kill0;  // observing X when the lead is 0
-  std::vector<std::uint64_t> kill1;
+/// A (lead, value) pair that removes paths if killed.
+struct Candidate {
+  LeadId lead;
+  bool value;
+  BigUint weight;  // alive paths through the pair with no kill
 };
 
-BatchDetect batch_prefilter(const Circuit& dag, Rng& rng,
-                            std::size_t num_words) {
-  BatchDetect result;
-  result.kill0.assign(dag.num_leads(), 0);
-  result.kill1.assign(dag.num_leads(), 0);
-  std::vector<std::uint64_t> words(dag.inputs().size());
-  std::vector<std::uint64_t> obs(dag.num_gates());
-  for (std::size_t round = 0; round < num_words; ++round) {
-    for (auto& word : words) word = rng.next_u64();
-    const auto good = simulate64(dag, words);
-
-    // Backward observability over the tree.
-    std::fill(obs.begin(), obs.end(), 0);
-    for (GateId po : dag.outputs()) obs[po] = ~std::uint64_t{0};
-    const auto& topo = dag.topo_order();
-    for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-      const GateId id = *it;
-      const Gate& gate = dag.gate(id);
-      for (std::uint32_t pin = 0; pin < gate.fanins.size(); ++pin) {
-        std::uint64_t sensitized = obs[id];
-        if (has_controlling_value(gate.type)) {
-          const bool ctrl = controlling_value(gate.type);
-          for (std::uint32_t other = 0; other < gate.fanins.size(); ++other) {
-            if (other == pin) continue;
-            const std::uint64_t nc_mask =
-                ctrl ? ~good[gate.fanins[other]] : good[gate.fanins[other]];
-            sensitized &= nc_mask;
-          }
-        }
-        const LeadId lead = gate.fanin_leads[pin];
-        const std::uint64_t driver_word = good[gate.fanins[pin]];
-        result.kill1[lead] |= sensitized & driver_word;
-        result.kill0[lead] |= sensitized & ~driver_word;
-        obs[gate.fanins[pin]] |= sensitized;
-      }
+/// Every candidate of `dag`, heaviest first, ties by (lead, value).
+std::vector<Candidate> sorted_candidates(const Circuit& dag) {
+  const KillSet none(dag.num_leads());
+  const AlivePathCounts initial = count_alive_paths(dag, none);
+  std::vector<Candidate> candidates;
+  for (LeadId lead = 0; lead < dag.num_leads(); ++lead) {
+    for (const bool value : {false, true}) {
+      BigUint weight = initial.through(dag, lead, value);
+      if (weight.is_zero()) continue;  // no paths to remove
+      candidates.push_back(Candidate{lead, value, std::move(weight)});
     }
   }
-  return result;
+  std::sort(candidates.begin(), candidates.end(),
+            [](const Candidate& a, const Candidate& b) {
+              if (a.weight != b.weight) return b.weight < a.weight;
+              if (a.lead != b.lead) return a.lead < b.lead;
+              return a.value < b.value;
+            });
+  return candidates;
+}
+
+/// Calls `observed(lead, value)` for every (lead, good value) pair
+/// whose X alone reaches a PO under the vector `good` — exact on the
+/// leaf-dag's tree, where each gate has one fanout: the X passes a gate
+/// iff no other input is controlling.  Ternary simulation is monotone,
+/// so the kill stays observable under any larger kill set.
+template <typename Observed>
+void for_each_observed_kill(const Circuit& dag, const std::vector<bool>& good,
+                            Observed&& observed) {
+  std::vector<bool> obs(dag.num_gates(), false);
+  for (GateId po : dag.outputs()) obs[po] = true;
+  const auto& topo = dag.topo_order();
+  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+    if (!obs[*it]) continue;
+    const Gate& gate = dag.gate(*it);
+    const bool has_ctrl = has_controlling_value(gate.type);
+    const bool ctrl = has_ctrl && controlling_value(gate.type);
+    std::uint32_t controlling = 0;
+    if (has_ctrl)
+      for (GateId fanin : gate.fanins) controlling += good[fanin] == ctrl;
+    for (std::uint32_t pin = 0; pin < gate.fanins.size(); ++pin) {
+      const GateId fanin = gate.fanins[pin];
+      const bool self = has_ctrl && good[fanin] == ctrl;
+      if (controlling > (self ? 1u : 0u)) continue;  // another input decides
+      observed(gate.fanin_leads[pin], good[fanin]);
+      obs[fanin] = true;
+    }
+  }
+}
+
+/// The greedy kill-set growth on one cone's leaf-dag, on one
+/// incremental solver.  Returns false when the guard tripped.
+bool grow_kills(const Circuit& dag, KillSet& kills, ExecGuard* guard,
+                UnfoldResult& result) {
+  const std::vector<Candidate> candidates = sorted_candidates(dag);
+  if (candidates.empty()) return true;
+  KillSet killable(dag.num_leads());
+  std::vector<std::size_t> index_of(2 * dag.num_leads(), candidates.size());
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    killable.kill(candidates[i].lead, candidates[i].value);
+    index_of[2 * candidates[i].lead + candidates[i].value] = i;
+  }
+  SatSolver solver;
+  solver.set_guard(guard);
+  const KillCnf cnf(dag, solver, killable);
+
+  // chain[i] forbids candidates i, i+1, ...: assuming chain[i + 1]
+  // keeps every untried candidate alive while candidate i is judged.
+  std::vector<SatLit> chain(candidates.size());
+  for (SatLit& lit : chain) lit = mk_lit(solver.new_var());
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const Candidate& c = candidates[i];
+    solver.add_clause({lit_negate(chain[i]),
+                       lit_negate(cnf.kill_lit(c.lead, c.value))});
+    if (i + 1 < candidates.size())
+      solver.add_clause({lit_negate(chain[i]), chain[i + 1]});
+  }
+
+  // A rejected candidate never becomes sound later: adding kills only
+  // makes an injected X easier to observe (single pass).
+  std::vector<bool> rejected(candidates.size(), false);
+  const auto reject = [&](std::size_t i) {
+    rejected[i] = true;
+    solver.add_clause(
+        {lit_negate(cnf.kill_lit(candidates[i].lead, candidates[i].value))});
+  };
+  AlivePathCounts alive;
+  bool counts_dirty = true;
+  std::vector<bool> witness(dag.inputs().size());
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    if (rejected[i]) continue;
+    const Candidate& c = candidates[i];
+    // Earlier kills may have already removed every path through this
+    // pair — a query would gain zero RD paths.
+    if (counts_dirty) {
+      alive = count_alive_paths(dag, kills);
+      counts_dirty = false;
+    }
+    if (alive.through(dag, c.lead, c.value).is_zero()) {
+      reject(i);
+      continue;
+    }
+    if (guard != nullptr && !guard->check()) return false;
+    ++result.redundancy_checks;
+    // Focus: the previous kill set is proven, so a counterexample must
+    // activate the new kill.
+    std::vector<SatLit> assumptions = {
+        cnf.kill_lit(c.lead, c.value),
+        cnf.good().gate_lit(dag.lead(c.lead).driver, c.value)};
+    if (i + 1 < candidates.size()) assumptions.push_back(chain[i + 1]);
+    switch (solver.solve(assumptions, kMaxKillConflicts)) {
+      case SatResult::kUnsat:
+        kills.kill(c.lead, c.value);
+        solver.add_clause({cnf.kill_lit(c.lead, c.value)});
+        ++result.redundancies_removed;
+        counts_dirty = true;
+        break;
+      case SatResult::kSat:
+        reject(i);
+        for (std::size_t pi = 0; pi < witness.size(); ++pi)
+          witness[pi] =
+              solver.model_value(cnf.good().gate_var(dag.inputs()[pi]));
+        for_each_observed_kill(
+            dag, simulate(dag, witness), [&](LeadId lead, bool value) {
+              const std::size_t j = index_of[2 * lead + value];
+              if (j > i && j < candidates.size() && !rejected[j]) reject(j);
+            });
+        break;
+      case SatResult::kUnknown:
+        if (guard != nullptr && guard->tripped()) return false;
+        result.complete = false;
+        if (result.abort_reason == AbortReason::kNone)
+          result.abort_reason = AbortReason::kWorkBudget;
+        reject(i);
+        break;
+    }
+  }
+  return true;
 }
 
 }  // namespace
 
-UnfoldResult identify_rd_unfold(const Circuit& circuit,
-                                const UnfoldOptions& options) {
+UnfoldResult identify_rd_unfold(const Circuit& circuit, ExecGuard* guard) {
   UnfoldResult result;
   const PathCounts original_counts(circuit);
   result.total_logical = original_counts.total_logical();
-  Rng rng(options.seed);
-  Stopwatch budget;
-  auto out_of_time = [&] {
-    return options.max_seconds > 0 &&
-           budget.elapsed_seconds() > options.max_seconds;
-  };
 
+  bool stopped = false;  // the guard tripped
   for (GateId po : circuit.outputs()) {
-    LeafDag leaf = build_leaf_dag(circuit, po, options.max_dag_gates);
-    if (!leaf.complete) {
-      // Cone too large to unfold: all of its paths stay must-test.
+    LeafDag leaf;
+    if (!stopped) leaf = build_leaf_dag(circuit, po);
+    if (stopped || !leaf.complete) {
+      // Cone not processed (the guard tripped, or the leaf-dag exceeds
+      // its 2^20-gate budget): all of its paths stay must-test.
       BigUint cone_paths = original_counts.arrivals(po);
       cone_paths *= 2u;
       result.must_test_logical += cone_paths;
-      result.complete = false;
+      if (!stopped) {
+        result.complete = false;
+        if (result.abort_reason == AbortReason::kNone)
+          result.abort_reason = AbortReason::kWorkBudget;
+      }
       continue;
     }
-    const Circuit& dag = leaf.dag;
-
-    KillSet kills(dag.num_leads());
-    const AlivePathCounts initial = count_alive_paths(dag, kills);
-    const BatchDetect prefilter =
-        batch_prefilter(dag, rng, options.prefilter_words);
-
-    // Candidate kills that survived the prefilter, heaviest first.
-    struct Candidate {
-      LeadId lead;
-      bool value;
-      BigUint weight;
-    };
-    std::vector<Candidate> candidates;
-    for (LeadId lead = 0; lead < dag.num_leads(); ++lead) {
-      for (const bool value : {false, true}) {
-        const std::uint64_t mask =
-            value ? prefilter.kill1[lead] : prefilter.kill0[lead];
-        if (mask != 0) continue;  // kill observably unsound
-        BigUint weight = initial.through(dag, lead, value);
-        if (weight.is_zero()) continue;  // no paths to remove
-        candidates.push_back(Candidate{lead, value, std::move(weight)});
-      }
+    KillSet kills(leaf.dag.num_leads());
+    if (!grow_kills(leaf.dag, kills, guard, result)) {
+      // The run stops here, so the guard's cause is the one reported.
+      stopped = true;
+      result.complete = false;
+      result.abort_reason = guard->reason();
     }
-    std::sort(candidates.begin(), candidates.end(),
-              [](const Candidate& a, const Candidate& b) {
-                return b.weight < a.weight;
-              });
-
-    // Greedy growth of the kill set.  A candidate rejected once stays
-    // rejected: adding kills only makes an injected X easier to
-    // observe, so testable-now implies testable-later (single pass).
-    std::size_t examined = 0;
-    bool counts_dirty = false;
-    AlivePathCounts alive = count_alive_paths(dag, kills);
-    for (const Candidate& candidate : candidates) {
-      if (out_of_time() || examined >= options.max_candidates_per_cone) {
-        result.complete = false;
-        break;
-      }
-      if (kills.killed(candidate.lead, candidate.value)) continue;
-      // Earlier kills may have already removed every path through this
-      // (lead, value) pair — proving it would burn search budget for
-      // zero additional RD paths.
-      if (counts_dirty) {
-        alive = count_alive_paths(dag, kills);
-        counts_dirty = false;
-      }
-      if (alive.through(dag, candidate.lead, candidate.value).is_zero())
-        continue;
-      ++examined;
-      kills.kill(candidate.lead, candidate.value);
-      ++result.redundancy_checks;
-      const KillVerdict verdict =
-          kill_set_testable(dag, kills, options.max_check_nodes,
-                            candidate.lead, candidate.value);
-      if (verdict == KillVerdict::kRedundant) {
-        ++result.redundancies_removed;
-        counts_dirty = true;
-        continue;
-      }
-      if (verdict == KillVerdict::kAborted) result.complete = false;
-      kills.revive(candidate.lead, candidate.value);
-    }
-
     result.must_test_logical +=
-        count_alive_paths(dag, kills).total_alive_logical;
+        count_alive_paths(leaf.dag, kills).total_alive_logical;
   }
 
   // Guard against BigUint::to_double overflowing to infinity: the naive

@@ -5,11 +5,15 @@
 //
 // Per output cone: build the leaf-dag, then greedily grow a per-
 // polarity *kill set* — (lead, stable value) pairs whose logical paths
-// are declared robust dependent.  A candidate kill is accepted only
-// when a complete search (random-pattern prefilter + PODEM-style
-// branch-and-bound, src/unfold/xfault.h) proves that every primary
-// output remains ternary-determined with X injected on all killed
-// leads; by the stabilizing-system theory this is exactly the
+// are declared robust dependent.  Candidates are tried heaviest first
+// (ties by lead, then value), and a kill is accepted only when one SAT
+// query (src/unfold/xfault.h) proves that every primary output remains
+// ternary-determined with X injected on all killed leads.  Each cone
+// keeps one incremental solver: an accepted kill becomes a unit clause,
+// a rejected one a negative unit, and one chain literal forbids every
+// untried candidate.  The vector of each counterexample rejects, without
+// a query, every untried candidate whose single X it propagates to the
+// output.  By the stabilizing-system theory acceptance is exactly the
 // condition that Algorithm 1 can still stabilize every input vector
 // while avoiding the killed leads, i.e. that a complete stabilizing
 // assignment exists whose LP(σ) misses every killed path.  This is the
@@ -24,47 +28,31 @@
 
 #include "netlist/circuit.h"
 #include "util/biguint.h"
+#include "util/exec_guard.h"
 
 namespace rd {
-
-struct UnfoldOptions {
-  /// Leaf-dag gate budget per cone; cones exceeding it are left
-  /// unprocessed (their paths all count as must-test).
-  std::size_t max_dag_gates = 1u << 20;
-
-  /// Search budget per kill-set redundancy proof; aborted proofs count
-  /// as testable (the kill is conservatively rejected).
-  std::uint64_t max_check_nodes = 1u << 20;
-
-  /// 64-pattern words for the random prefilter.
-  std::size_t prefilter_words = 4;
-
-  /// At most this many prefilter-surviving candidates get the full
-  /// redundancy proof per cone (they are tried heaviest-first, so the
-  /// cap trades tail quality for time).
-  std::size_t max_candidates_per_cone = static_cast<std::size_t>(-1);
-
-  /// Wall-clock budget in seconds (0 = unlimited).  The greedy loop
-  /// stops accepting new kills once exceeded; everything found so far
-  /// remains a sound RD-set, so the result is a valid (if smaller)
-  /// answer flagged as incomplete.
-  double max_seconds = 0.0;
-
-  std::uint64_t seed = 1;
-};
 
 struct UnfoldResult {
   BigUint total_logical;      // logical paths of the original circuit
   BigUint must_test_logical;  // logical paths surviving in the leaf-dags
   double rd_percent = 0.0;
-  bool complete = true;       // false if any cone hit a budget
-  std::uint64_t redundancy_checks = 0;
-  std::uint64_t redundancies_removed = 0;
+
+  /// False when a cone's leaf-dag exceeded 2^20 gates or a kill query
+  /// ran out of conflicts (abort_reason kWorkBudget; the run goes on
+  /// without that cone or kill), or when the guard tripped (its cause;
+  /// the run stops there).  The kills found so far are still a sound
+  /// RD-set, so must_test_logical stays an upper bound.
+  bool complete = true;
+  AbortReason abort_reason = AbortReason::kNone;
+
+  std::uint64_t redundancy_checks = 0;     // SAT queries asked
+  std::uint64_t redundancies_removed = 0;  // kills accepted
 };
 
-/// Runs the baseline over every output cone of `circuit`.
+/// Runs the baseline over every output cone of `circuit`.  The guard,
+/// if any, is polled once per kill query and at every SAT conflict.
 UnfoldResult identify_rd_unfold(const Circuit& circuit,
-                                const UnfoldOptions& options = {});
+                                ExecGuard* guard = nullptr);
 
 /// Constant-propagation helper (exposed for tests): returns the circuit
 /// with `lead` replaced by the constant `value`, simplified, restricted

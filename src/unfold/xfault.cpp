@@ -1,373 +1,76 @@
 #include "unfold/xfault.h"
 
-#include <queue>
-#include <stdexcept>
-
-#include "sim/logic_sim.h"
-#include "sim/value.h"
-
 namespace rd {
 
-namespace {
+KillCnf::KillCnf(const Circuit& circuit, SatSolver& solver,
+                 const KillSet& killable)
+    : good_(circuit, solver), kill_vars_(2 * circuit.num_leads()) {
+  std::vector<SatVar> x(circuit.num_gates());
+  for (SatVar& var : x) var = solver.new_var();
+  for (GateId pi : circuit.inputs()) solver.add_clause({mk_lit(x[pi], true)});
 
-/// Faulty-machine value lattice: known 0/1, X injected by a kill
-/// (permanently undetermined), or not yet determined by the partial PI
-/// assignment.
-enum class FVal : std::uint8_t { kZero = 0, kOne = 1, kXKill = 2, kUnknown = 3 };
-
-constexpr FVal to_fval(Value3 value) {
-  switch (value) {
-    case Value3::kZero: return FVal::kZero;
-    case Value3::kOne: return FVal::kOne;
-    case Value3::kUnknown: return FVal::kUnknown;
-  }
-  return FVal::kUnknown;
-}
-
-constexpr bool is_binary(FVal value) {
-  return value == FVal::kZero || value == FVal::kOne;
-}
-
-constexpr FVal fval_of_bool(bool bit) { return bit ? FVal::kOne : FVal::kZero; }
-
-constexpr FVal negate(FVal value) {
-  switch (value) {
-    case FVal::kZero: return FVal::kOne;
-    case FVal::kOne: return FVal::kZero;
-    default: return value;
-  }
-}
-
-/// Complete branch-and-bound search for a vector that leaves a PO
-/// ternary-undetermined under the kill set's X injection.  The
-/// good/faulty machine pair is maintained *incrementally*: assigning a
-/// PI propagates value changes level by level through the affected
-/// cone only, and every overwritten value is recorded on a trail so
-/// backtracking restores the exact prior state — full resimulation per
-/// search node would dominate the baseline's runtime on leaf-dags.
-class KillSearch {
- public:
-  KillSearch(const Circuit& circuit, const KillSet& kills,
-             std::uint64_t max_nodes, LeadId focus_lead, bool focus_value)
-      : circuit_(circuit),
-        kills_(kills),
-        max_nodes_(max_nodes),
-        focus_lead_(focus_lead),
-        focus_value_(focus_value) {
-    const std::size_t n = circuit.num_gates();
-    good_.assign(n, Value3::kUnknown);
-    faulty_.assign(n, FVal::kUnknown);
-    pi_values_.assign(circuit.inputs().size(), Value3::kUnknown);
-    pi_index_of_gate_.assign(n, kNone);
-    for (std::size_t i = 0; i < circuit.inputs().size(); ++i)
-      pi_index_of_gate_[circuit.inputs()[i]] = i;
-    for (LeadId lead = 0; lead < circuit.num_leads(); ++lead)
-      if (kills.killed(lead, false) || kills.killed(lead, true))
-        killed_leads_.push_back(lead);
-  }
-
-  KillVerdict run() {
-    if (killed_leads_.empty()) return KillVerdict::kRedundant;
-    try {
-      return recurse() ? KillVerdict::kTestable : KillVerdict::kRedundant;
-    } catch (const BudgetExceeded&) {
-      return KillVerdict::kAborted;
+  std::vector<SatLit> lx(circuit.num_leads());
+  for (LeadId lead = 0; lead < circuit.num_leads(); ++lead) {
+    lx[lead] = mk_lit(solver.new_var());
+    const GateId driver = circuit.lead(lead).driver;
+    for (const bool value : {false, true}) {
+      // lx and not x_driver and good(driver) = value -> kill(lead, value).
+      std::vector<SatLit> clause = {lit_negate(lx[lead]), mk_lit(x[driver]),
+                                    good_.gate_lit(driver, !value)};
+      if (killable.killed(lead, value)) {
+        kill_vars_[2 * lead + (value ? 1 : 0)] = solver.new_var();
+        clause.push_back(kill_lit(lead, value));
+      }
+      solver.add_clause(std::move(clause));
     }
   }
 
- private:
-  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  struct BudgetExceeded {};
-
-  // ---- incremental machine maintenance ------------------------------
-
-  /// Faulty value present on a lead: the driver's faulty value, turned
-  /// into X when the lead is killed for the driver's (good) value.
-  FVal lead_fval(LeadId lead, GateId driver) const {
-    if (is_known(good_[driver]) && kills_.killed(lead, to_bool(good_[driver])))
-      return FVal::kXKill;
-    return faulty_[driver];
-  }
-
-  Value3 eval_good(GateId id) const {
-    const Gate& gate = circuit_.gate(id);
-    scratch3_.clear();
-    for (GateId fanin : gate.fanins) scratch3_.push_back(good_[fanin]);
-    return eval_gate3(gate.type, scratch3_.data(), scratch3_.size());
-  }
-
-  FVal eval_faulty(GateId id) const {
-    const Gate& gate = circuit_.gate(id);
-    switch (gate.type) {
-      case GateType::kOutput:
-      case GateType::kBuf:
-        return lead_fval(gate.fanin_leads[0], gate.fanins[0]);
-      case GateType::kNot:
-        return negate(lead_fval(gate.fanin_leads[0], gate.fanins[0]));
-      default:
-        break;
+  for (GateId id : circuit.topo_order()) {
+    const Gate& gate = circuit.gate(id);
+    if (gate.type == GateType::kInput) continue;
+    const SatLit not_x = mk_lit(x[id], true);
+    if (!has_controlling_value(gate.type)) {
+      solver.add_clause({not_x, lx[gate.fanin_leads[0]]});
+      continue;
     }
-    const FVal ctrl = fval_of_bool(controlling_value(gate.type));
-    bool any_unknown = false;
-    bool any_xkill = false;
+    // X needs an X input and no input at the controlling value.
+    const bool ctrl = controlling_value(gate.type);
+    std::vector<SatLit> some_x = {not_x};
     for (std::uint32_t pin = 0; pin < gate.fanins.size(); ++pin) {
-      const FVal in = lead_fval(gate.fanin_leads[pin], gate.fanins[pin]);
-      if (in == ctrl) return fval_of_bool(controlled_output(gate.type));
-      if (in == FVal::kUnknown) any_unknown = true;
-      if (in == FVal::kXKill) any_xkill = true;
+      const SatLit in_x = lx[gate.fanin_leads[pin]];
+      some_x.push_back(in_x);
+      solver.add_clause(
+          {not_x, in_x, good_.gate_lit(gate.fanins[pin], !ctrl)});
     }
-    if (any_unknown) return FVal::kUnknown;
-    if (any_xkill) return FVal::kXKill;
-    return fval_of_bool(noncontrolled_output(gate.type));
+    solver.add_clause(std::move(some_x));
   }
 
-  void store(GateId id, Value3 good, FVal faulty) {
-    trail_.push_back(Saved{id, good_[id], faulty_[id]});
-    good_[id] = good;
-    faulty_[id] = faulty;
-    for (LeadId lead : circuit_.gate(id).fanout_leads)
-      queue_.push({circuit_.topo_rank(circuit_.lead(lead).sink),
-                   circuit_.lead(lead).sink});
-  }
-
-  void assign_pi(std::size_t pi, Value3 value) {
-    marks_.push_back(trail_.size());
-    pi_values_[pi] = value;
-    store(circuit_.inputs()[pi], value, to_fval(value));
-    while (!queue_.empty()) {
-      const GateId id = queue_.top().second;
-      queue_.pop();
-      const Value3 good = eval_good(id);
-      const FVal faulty = eval_faulty(id);
-      if (good == good_[id] && faulty == faulty_[id]) continue;
-      store(id, good, faulty);
-    }
-  }
-
-  void undo_pi(std::size_t pi) {
-    pi_values_[pi] = Value3::kUnknown;
-    const std::size_t mark = marks_.back();
-    marks_.pop_back();
-    while (trail_.size() > mark) {
-      const Saved& saved = trail_.back();
-      good_[saved.gate] = saved.good;
-      faulty_[saved.gate] = saved.faulty;
-      trail_.pop_back();
-    }
-  }
-
-  // ---- search --------------------------------------------------------
-
-  /// X-path check: prunes branches where no injected X can still reach
-  /// a PO.  A gate can pass an X only while its faulty value is
-  /// undetermined; a source is a lead that currently carries X or a
-  /// killed lead whose driver value is still open (activatable).
-  bool x_path_exists() {
-    x_reach_.assign(circuit_.num_gates(), false);
-    x_stack_.clear();
-    for (GateId po : circuit_.outputs()) {
-      if (!is_binary(faulty_[po])) {
-        x_reach_[po] = true;
-        x_stack_.push_back(po);
-      }
-    }
-    while (!x_stack_.empty()) {
-      const GateId id = x_stack_.back();
-      x_stack_.pop_back();
-      for (GateId fanin : circuit_.gate(id).fanins) {
-        if (x_reach_[fanin] || is_binary(faulty_[fanin])) continue;
-        x_reach_[fanin] = true;
-        x_stack_.push_back(fanin);
-      }
-    }
-    for (LeadId lead : killed_leads_) {
-      const Lead& l = circuit_.lead(lead);
-      if (!x_reach_[l.sink]) continue;
-      // X already on the lead, or the driver could still be set to the
-      // killed polarity.
-      if (lead_fval(lead, l.driver) == FVal::kXKill) return true;
-      if (!is_known(good_[l.driver])) return true;
-    }
-    return false;
-  }
-
-  bool recurse() {
-    if (++nodes_ > max_nodes_) throw BudgetExceeded{};
-
-    // Focused mode: only vectors activating the focused kill matter.
-    if (focus_lead_ != kNullLead) {
-      const GateId driver = circuit_.lead(focus_lead_).driver;
-      if (is_known(good_[driver]) && to_bool(good_[driver]) != focus_value_)
-        return false;
-    }
-
-    // Detected: a PO whose fault-free value is determined but whose
-    // faulty (X-injected) value is not.
-    bool all_po_faulty_known = true;
-    GateId xkill_po = kNullGate;
-    for (GateId po : circuit_.outputs()) {
-      if (faulty_[po] == FVal::kXKill) {
-        if (is_known(good_[po])) return true;
-        xkill_po = po;
-      }
-      if (!is_binary(faulty_[po])) all_po_faulty_known = false;
-    }
-    if (all_po_faulty_known) return false;  // X can never reach a PO now
-    if (!x_path_exists()) return false;     // every X source is blocked
-
-    // Choose an objective.
-    GateId objective_gate = kNullGate;
-    Value3 objective_value = Value3::kUnknown;
-
-    if (xkill_po != kNullGate) {
-      // X reached a PO whose good value is still open: close it.
-      objective_gate = xkill_po;
-      objective_value = Value3::kOne;  // branching covers both values
-    } else if (focus_lead_ != kNullLead &&
-               !is_known(good_[circuit_.lead(focus_lead_).driver])) {
-      // Activate the focused kill before anything else.
-      objective_gate = circuit_.lead(focus_lead_).driver;
-      objective_value = to_value3(focus_value_);
-    } else {
-      // Is any killed lead activated (producing X)?
-      bool activated = false;
-      for (LeadId lead : killed_leads_) {
-        const GateId driver = circuit_.lead(lead).driver;
-        if (is_known(good_[driver]) &&
-            kills_.killed(lead, to_bool(good_[driver]))) {
-          activated = true;
-          break;
-        }
-      }
-      if (activated) {
-        // Propagate: find a gate with an X input whose faulty output is
-        // still undetermined, and feed one of its open side inputs the
-        // non-controlling value.
-        for (GateId id : circuit_.topo_order()) {
-          const Gate& gate = circuit_.gate(id);
-          if (gate.type == GateType::kInput) continue;
-          if (faulty_[id] != FVal::kUnknown) continue;
-          bool has_x_input = false;
-          for (std::uint32_t pin = 0; pin < gate.fanins.size(); ++pin) {
-            if (lead_fval(gate.fanin_leads[pin], gate.fanins[pin]) ==
-                FVal::kXKill) {
-              has_x_input = true;
-              break;
-            }
-          }
-          if (!has_x_input) continue;
-          if (!has_controlling_value(gate.type)) continue;
-          const Value3 nc = to_value3(noncontrolling_value(gate.type));
-          for (GateId fanin : gate.fanins) {
-            if (!is_known(good_[fanin])) {
-              objective_gate = fanin;
-              objective_value = nc;
-              break;
-            }
-          }
-          if (objective_gate != kNullGate) break;
-        }
-      }
-      if (objective_gate == kNullGate) {
-        // Activate a (further) killed lead with an open driver value.
-        for (LeadId lead : killed_leads_) {
-          const GateId driver = circuit_.lead(lead).driver;
-          if (is_known(good_[driver])) continue;
-          objective_gate = driver;
-          objective_value =
-              kills_.killed(lead, true) ? Value3::kOne : Value3::kZero;
-          break;
-        }
-      }
-      if (objective_gate == kNullGate) {
-        // Fallback that keeps the search complete when the guidance
-        // heuristics find nothing: branch on any open PI.  (The
-        // all-PO-determined prune above is the only way to declare a
-        // branch dead, so exhausting PIs this way is always sound.)
-        for (std::size_t i = 0; i < pi_values_.size(); ++i) {
-          if (!is_known(pi_values_[i])) {
-            objective_gate = circuit_.inputs()[i];
-            objective_value = Value3::kZero;
-            break;
-          }
-        }
-        if (objective_gate == kNullGate) return false;  // fully assigned
-      }
-    }
-
-    // Backtrace on the good machine.
-    GateId gate = objective_gate;
-    Value3 value = objective_value;
-    while (circuit_.gate(gate).type != GateType::kInput) {
-      const Gate& g = circuit_.gate(gate);
-      GateId next = kNullGate;
-      if (g.type == GateType::kNot || g.type == GateType::kBuf ||
-          g.type == GateType::kOutput) {
-        next = g.fanins[0];
-        if (g.type == GateType::kNot) value = rd::negate(value);
-      } else {
-        const Value3 ctrl = to_value3(controlling_value(g.type));
-        const Value3 needed =
-            value == to_value3(controlled_output(g.type)) ? ctrl
-                                                          : rd::negate(ctrl);
-        for (GateId fanin : g.fanins) {
-          if (!is_known(good_[fanin])) {
-            next = fanin;
-            break;
-          }
-        }
-        if (next == kNullGate) return false;
-        value = needed;
-      }
-      gate = next;
-    }
-    const std::size_t pi = pi_index_of_gate_[gate];
-    if (pi == kNone || is_known(pi_values_[pi])) return false;
-
-    assign_pi(pi, value);
-    if (recurse()) return true;
-    undo_pi(pi);
-    assign_pi(pi, rd::negate(value));
-    if (recurse()) return true;
-    undo_pi(pi);
-    return false;
-  }
-
-  struct Saved {
-    GateId gate;
-    Value3 good;
-    FVal faulty;
-  };
-
-  const Circuit& circuit_;
-  const KillSet& kills_;
-  std::uint64_t max_nodes_;
-  LeadId focus_lead_ = kNullLead;
-  bool focus_value_ = false;
-  std::uint64_t nodes_ = 0;
-  std::vector<Value3> good_;
-  std::vector<FVal> faulty_;
-  std::vector<Value3> pi_values_;
-  std::vector<std::size_t> pi_index_of_gate_;
-  std::vector<LeadId> killed_leads_;
-  std::vector<Saved> trail_;
-  std::vector<std::size_t> marks_;
-  std::priority_queue<std::pair<std::uint32_t, GateId>,
-                      std::vector<std::pair<std::uint32_t, GateId>>,
-                      std::greater<>>
-      queue_;
-  mutable std::vector<Value3> scratch3_;
-  std::vector<bool> x_reach_;
-  std::vector<GateId> x_stack_;
-};
-
-}  // namespace
+  std::vector<SatLit> some_po_x;
+  for (GateId po : circuit.outputs()) some_po_x.push_back(mk_lit(x[po]));
+  solver.add_clause(std::move(some_po_x));
+}
 
 KillVerdict kill_set_testable(const Circuit& circuit, const KillSet& kills,
-                              std::uint64_t max_nodes, LeadId focus_lead,
-                              bool focus_value) {
-  KillSearch search(circuit, kills, max_nodes, focus_lead, focus_value);
-  return search.run();
+                              LeadId focus_lead, bool focus_value,
+                              ExecGuard* guard) {
+  if (guard != nullptr && !guard->check()) return KillVerdict::kAborted;
+  SatSolver solver;
+  solver.set_guard(guard);
+  const KillCnf cnf(circuit, solver, kills);
+  std::vector<SatLit> assumptions;
+  for (LeadId lead = 0; lead < circuit.num_leads(); ++lead)
+    for (const bool value : {false, true})
+      if (kills.killed(lead, value))
+        assumptions.push_back(cnf.kill_lit(lead, value));
+  if (focus_lead != kNullLead)
+    assumptions.push_back(
+        cnf.good().gate_lit(circuit.lead(focus_lead).driver, focus_value));
+  switch (solver.solve(assumptions, kMaxKillConflicts)) {
+    case SatResult::kSat: return KillVerdict::kTestable;
+    case SatResult::kUnsat: return KillVerdict::kRedundant;
+    case SatResult::kUnknown: return KillVerdict::kAborted;
+  }
+  return KillVerdict::kAborted;
 }
 
 BigUint AlivePathCounts::through(const Circuit& circuit, LeadId lead,

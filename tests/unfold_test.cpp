@@ -8,8 +8,10 @@
 #include "core/heuristics.h"
 #include "gen/examples.h"
 #include "gen/iscas_like.h"
+#include "gen/pla_like.h"
 #include "paths/counting.h"
 #include "sim/logic_sim.h"
+#include "synth/synth.h"
 #include "unfold/leaf_dag.h"
 #include "unfold/redundancy.h"
 #include "util/rng.h"
@@ -254,6 +256,46 @@ TEST(UnfoldRd, MustTestCountBoundsTheOptimum) {
   const auto optimum = exact_min_lp_sigma(circuit);
   ASSERT_TRUE(optimum.has_value());
   EXPECT_GE(result.must_test_logical.to_u64(), *optimum);
+}
+
+TEST(UnfoldRd, GuardTripEndsInTypedAbort) {
+  PlaProfile profile;
+  profile.name = "mini";
+  profile.num_inputs = 8;
+  profile.num_outputs = 5;
+  profile.num_cubes = 26;
+  profile.min_literals = 2;
+  profile.max_literals = 5;
+  profile.output_density = 0.25;
+  profile.seed = 77;
+  const Circuit circuit = synthesize_multilevel(make_pla_like(profile));
+  const UnfoldResult full = identify_rd_unfold(circuit);
+  ASSERT_TRUE(full.complete);
+  EXPECT_EQ(full.abort_reason, AbortReason::kNone);
+
+  // An untripped guard changes nothing; it counts the run's checks.
+  ExecGuard counter;
+  const UnfoldResult counted = identify_rd_unfold(circuit, &counter);
+  EXPECT_TRUE(counted.complete);
+  EXPECT_EQ(counted.must_test_logical, full.must_test_logical);
+  EXPECT_EQ(counted.redundancy_checks, full.redundancy_checks);
+  const std::uint64_t checks = counter.checks();
+  ASSERT_GE(checks, 4u);
+
+  for (const auto& [nth, cause] :
+       {std::pair{std::uint64_t{1}, AbortReason::kDeadline},
+        std::pair{checks / 2, AbortReason::kCancelled}}) {
+    ExecGuard guard;
+    guard.inject_at_check(nth, [&guard, cause = cause] { guard.trip(cause); });
+    const UnfoldResult partial = identify_rd_unfold(circuit, &guard);
+    EXPECT_FALSE(partial.complete) << nth;
+    EXPECT_EQ(partial.abort_reason, cause) << nth;
+    EXPECT_EQ(partial.total_logical, full.total_logical);
+    // The kills found before the trip are still a sound RD-set.
+    EXPECT_GE(partial.must_test_logical, full.must_test_logical) << nth;
+    EXPECT_LE(partial.must_test_logical, partial.total_logical) << nth;
+    EXPECT_LT(partial.redundancy_checks, full.redundancy_checks) << nth;
+  }
 }
 
 }  // namespace

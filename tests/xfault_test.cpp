@@ -1,12 +1,15 @@
-// Tests for the kill-set engine behind the leaf-dag baseline: the
-// complete X-observability search (cross-checked against exhaustive
-// ternary simulation) and the per-polarity alive-path accounting.
+// Tests for the kill-set engine behind the leaf-dag baseline: the SAT
+// X-observability query (cross-checked against exhaustive ternary
+// simulation, unfocused and focused) and the per-polarity alive-path
+// accounting.
 #include <gtest/gtest.h>
 
 #include "gen/examples.h"
 #include "gen/iscas_like.h"
+#include "gen/pla_like.h"
 #include "paths/counting.h"
 #include "sim/logic_sim.h"
+#include "synth/synth.h"
 #include "unfold/xfault.h"
 #include "util/rng.h"
 
@@ -46,6 +49,19 @@ bool exhaustive_testable(const Circuit& circuit, const KillSet& kills) {
       if (!is_known(values[po])) return true;
   }
   return false;
+}
+
+/// c17, the paper example and the synthesized bw cover (5 PIs, so the
+/// oracle sweeps 32 vectors).
+std::vector<Circuit> oracle_circuits() {
+  std::vector<Circuit> circuits;
+  circuits.push_back(c17());
+  circuits.push_back(paper_example_circuit());
+  for (const PlaProfile& profile : mcnc_profiles())
+    if (profile.name == "bw")
+      circuits.push_back(synthesize_multilevel(make_pla_like(profile)));
+  EXPECT_EQ(circuits.size(), 3u);
+  return circuits;
 }
 
 TEST(KillSet, MaskOperations) {
@@ -168,8 +184,84 @@ TEST(KillSearch, AbortsOnTinyBudget) {
   const Circuit circuit = make_benchmark("c432");
   KillSet kills(circuit.num_leads());
   kills.kill(0, false);
-  EXPECT_EQ(kill_set_testable(circuit, kills, /*max_nodes=*/1),
+  // One unit of work: the query's own poll passes, its first conflict
+  // trips the guard.
+  ExecGuardOptions budget;
+  budget.work_limit = 1;
+  ExecGuard guard(budget);
+  EXPECT_EQ(kill_set_testable(circuit, kills, kNullLead, false, &guard),
             KillVerdict::kAborted);
+}
+
+TEST(KillSearch, SatVerdictMatchesTernaryOracle) {
+  Rng rng(2718);
+  std::size_t testable = 0;
+  std::size_t redundant = 0;
+  for (const Circuit& circuit : oracle_circuits()) {
+    const auto expect_oracle = [&](const KillSet& kills) {
+      const KillVerdict verdict = kill_set_testable(circuit, kills);
+      ASSERT_NE(verdict, KillVerdict::kAborted);
+      const bool oracle = exhaustive_testable(circuit, kills);
+      ASSERT_EQ(verdict == KillVerdict::kTestable, oracle) << circuit.name();
+      ++(oracle ? testable : redundant);
+    };
+    for (LeadId lead = 0; lead < circuit.num_leads(); ++lead) {
+      for (const bool value : {false, true}) {
+        KillSet kills(circuit.num_leads());
+        kills.kill(lead, value);
+        expect_oracle(kills);
+      }
+    }
+    for (int trial = 0; trial < 40; ++trial) {
+      KillSet kills(circuit.num_leads());
+      const std::size_t count = 2 + rng.next_below(4);
+      for (std::size_t i = 0; i < count; ++i)
+        kills.kill(static_cast<LeadId>(rng.next_below(circuit.num_leads())),
+                   rng.next_bool(0.5));
+      expect_oracle(kills);
+    }
+  }
+  EXPECT_GT(testable, 0u);
+  EXPECT_GT(redundant, 0u);
+}
+
+TEST(KillSearch, FocusedVerdictMatchesUnfocused) {
+  Rng rng(31);
+  std::size_t testable = 0;
+  std::size_t redundant = 0;
+  for (const Circuit& circuit : oracle_circuits()) {
+    // A redundant kill set of up to six pairs (none on the irredundant
+    // c17), grown in a shuffled order and proven by the oracle, so that
+    // some further kills are still sound on top of it.
+    std::vector<std::pair<LeadId, bool>> pairs;
+    for (LeadId lead = 0; lead < circuit.num_leads(); ++lead)
+      for (const bool value : {false, true}) pairs.emplace_back(lead, value);
+    for (std::size_t i = pairs.size(); i > 1; --i)
+      std::swap(pairs[i - 1], pairs[rng.next_below(i)]);
+    KillSet proven(circuit.num_leads());
+    std::size_t size = 0;
+    for (const auto& [lead, value] : pairs) {
+      if (size == 6) break;
+      proven.kill(lead, value);
+      if (exhaustive_testable(circuit, proven)) {
+        proven.revive(lead, value);
+      } else {
+        ++size;
+      }
+    }
+    for (const auto& [lead, value] : pairs) {
+      if (proven.killed(lead, value)) continue;
+      KillSet kills = proven;
+      kills.kill(lead, value);
+      const KillVerdict focused = kill_set_testable(circuit, kills, lead, value);
+      ASSERT_NE(focused, KillVerdict::kAborted);
+      ASSERT_EQ(focused, kill_set_testable(circuit, kills))
+          << circuit.name() << " lead " << lead << " value " << value;
+      ++(focused == KillVerdict::kTestable ? testable : redundant);
+    }
+  }
+  EXPECT_GT(testable, 0u);
+  EXPECT_GT(redundant, 0u);
 }
 
 TEST(AliveCounts, NoKillsMatchesPlainCounting) {
